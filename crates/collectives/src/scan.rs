@@ -9,14 +9,19 @@
 //!
 //! The operator only needs to be associative; the inclusive scan never
 //! requires an identity element (the carried prefix is `Option`al).
+//!
+//! On a bare machine the whole block runs as the closed-form level kernel
+//! [`Machine::scan_block`]. With any instrument armed, the per-node sweeps
+//! below run instead, so instruments observe every message; both paths
+//! report identical costs, results and paths.
 
 use spatial_model::{zorder, Machine, SpatialError, Tracked};
 
-/// The 4-ary summation tree in arena form: `levels[l]` holds the subtree
-/// sums of every block of `4^l` leaves, in block order (`levels[h]` is the
-/// root sum; `levels[0]` stays empty — the one-element subtree sums *are*
-/// the leaves, which both sweeps read in place). The slots are `Option` so
-/// the down-sweep can consume each sum exactly once.
+/// The instrumented path's 4-ary summation tree in arena form: `levels[l]`
+/// holds the subtree sums of every block of `4^l` leaves, in block order
+/// (`levels[h]` is the root sum; `levels[0]` stays empty — the one-element
+/// subtree sums *are* the leaves, which both sweeps read in place). The
+/// slots are `Option` so the down-sweep can consume each sum exactly once.
 ///
 /// Compared to a boxed node-per-subtree tree this allocates one `Vec` per
 /// *level* instead of a `Box` plus scratch `Vec`s per *node* (~`n/3` heap
@@ -54,9 +59,15 @@ pub fn scan<T: Clone + Send + Sync>(
     let n = items.len() as u64;
     assert!(zorder::is_power_of_four(n), "scan input must be a power of 4 (pad if needed)");
     assert_eq!(lo % n, 0, "scan segment must be aligned so quadrants are square subgrids");
-    // Per-item placement validation is a debug assertion: it is O(n) pure
-    // overhead on the hot path, and the test profile keeps debug assertions
-    // on, so misplaced inputs still fail loudly everywhere it matters.
+    if machine.is_bare() {
+        let mut items = items;
+        machine.scan_block(lo, &mut items, None, op);
+        return items;
+    }
+    // Per-item placement validation is a debug assertion (as in the bare
+    // kernel): it is O(n) pure overhead on the hot path, and the test
+    // profile keeps debug assertions on, so misplaced inputs still fail
+    // loudly everywhere it matters.
     if cfg!(debug_assertions) {
         for (i, it) in items.iter().enumerate() {
             debug_assert_eq!(
@@ -84,6 +95,11 @@ pub fn scan_exclusive<T: Clone + Send + Sync>(
     let n = items.len() as u64;
     assert!(zorder::is_power_of_four(n));
     assert_eq!(lo % n, 0);
+    if machine.is_bare() {
+        let mut items = items;
+        machine.scan_block(lo, &mut items, Some(&identity), op);
+        return items;
+    }
     let sums = up_sweep(machine, lo, n, &items, op);
     down_sweep(machine, lo, n, sums, Some(&identity), items, op)
 }

@@ -13,7 +13,9 @@ use spatial_model::{zorder, Coord, Machine, Tracked};
 ///
 /// Returns one value per cell, indexed by Z-offset (`out[i]` lives at
 /// Z-index `lo + i`). The root may start anywhere; it is first moved to
-/// `coord_of(lo)`.
+/// `coord_of(lo)`. On a bare machine each aligned block is filled by the
+/// closed-form kernel [`Machine::broadcast_block`]; with any instrument
+/// armed, by the per-level sends of the quadrant broadcast below.
 pub fn broadcast_z<T: Clone + Send + Sync>(
     machine: &mut Machine,
     root: Tracked<T>,
@@ -21,7 +23,7 @@ pub fn broadcast_z<T: Clone + Send + Sync>(
     hi: u64,
 ) -> Vec<Tracked<T>> {
     assert!(lo < hi, "empty Z range");
-    let mut out: Vec<Option<Tracked<T>>> = (0..(hi - lo)).map(|_| None).collect();
+    let mut out = Vec::with_capacity((hi - lo) as usize);
     let mut carrier = machine.move_to(root, zorder::coord_of(lo));
     let blocks = zorder::aligned_blocks(lo, hi);
     for (bi, &(start, len)) in blocks.iter().enumerate() {
@@ -33,16 +35,21 @@ pub fn broadcast_z<T: Clone + Send + Sync>(
         } else {
             here.duplicate()
         };
-        bcast_block(machine, here, start, len, lo, &mut out);
+        if machine.is_bare() {
+            machine.broadcast_block(here, start, len, &mut out);
+        } else {
+            bcast_block(machine, here, start, len, &mut out);
+        }
     }
     machine.discard(carrier);
-    out.into_iter().map(|o| o.expect("broadcast_z missed a cell")).collect()
+    out
 }
 
-/// Quadrant broadcast within one aligned block, level by level. At each
-/// level the filled corners (offsets `k·span`) each copy to their three
-/// sibling corners `k·span + i·q`; because the block is aligned, the
-/// displacement is `decode(i·q)` for every `k`, so each `(level, i)` is one
+/// Quadrant broadcast within one aligned block, level by level, appending
+/// the block's copies to `out` in Z order. At each level the filled corners
+/// (offsets `k·span`) each copy to their three sibling corners
+/// `k·span + i·q`; because the block is aligned, the displacement is
+/// `decode(i·q)` for every `k`, so each `(level, i)` is one
 /// [`spatial_model::BatchPattern::Uniform`] batch. Charges exactly what the
 /// depth-first recursion charges.
 fn bcast_block<T: Clone + Send + Sync>(
@@ -50,11 +57,11 @@ fn bcast_block<T: Clone + Send + Sync>(
     root: Tracked<T>,
     start: u64,
     len: u64,
-    base: u64,
-    out: &mut [Option<Tracked<T>>],
+    out: &mut Vec<Tracked<T>>,
 ) {
     debug_assert_eq!(root.loc(), zorder::coord_of(start));
-    out[(start - base) as usize] = Some(root);
+    let mut slots: Vec<Option<Tracked<T>>> = (0..len).map(|_| None).collect();
+    slots[0] = Some(root);
     let mut filled: Vec<u64> = vec![0];
     let mut span = len;
     while span > 1 {
@@ -63,14 +70,14 @@ fn bcast_block<T: Clone + Send + Sync>(
             let sends: Vec<(&Tracked<T>, Coord)> = filled
                 .iter()
                 .map(|&off| {
-                    let src = out[(start - base + off) as usize].as_ref().expect("filled corner");
+                    let src = slots[off as usize].as_ref().expect("filled corner");
                     (src, zorder::coord_of(start + off + i * q))
                 })
                 .collect();
             let arrived = machine.send_batch_copy(&sends);
             drop(sends);
             for (&off, got) in filled.iter().zip(arrived) {
-                out[(start - base + off + i * q) as usize] = Some(got);
+                slots[(off + i * q) as usize] = Some(got);
             }
         }
         let mut next = Vec::with_capacity(filled.len() * 4);
@@ -81,10 +88,14 @@ fn bcast_block<T: Clone + Send + Sync>(
         filled = next;
         span = q;
     }
+    out.extend(slots.into_iter().map(|o| o.expect("broadcast_z missed a cell")));
 }
 
 /// Reduces one value per cell of the Z-range `[lo, hi)` (indexed by
-/// Z-offset) onto the range's first cell.
+/// Z-offset) onto the range's first cell. On a bare machine each aligned
+/// block is reduced by the closed-form kernel [`Machine::reduce_block`];
+/// with any instrument armed, by the per-level sends of the quadrant
+/// reduce below.
 pub fn reduce_z<T: Clone + Send + Sync>(
     machine: &mut Machine,
     items: Vec<Tracked<T>>,
@@ -93,16 +104,21 @@ pub fn reduce_z<T: Clone + Send + Sync>(
 ) -> Tracked<T> {
     let hi = lo + items.len() as u64;
     assert!(lo < hi, "empty Z range");
-    for (i, it) in items.iter().enumerate() {
-        debug_assert_eq!(it.loc(), zorder::coord_of(lo + i as u64), "item {i} off its Z-cell");
-    }
-    let mut slots: Vec<Option<Tracked<T>>> = items.into_iter().map(Some).collect();
     // Reduce each aligned block onto its corner, then chain the corners
     // back-to-front so the result lands on the first cell.
     let blocks = zorder::aligned_blocks(lo, hi);
+    let mut rest = items;
     let mut acc: Option<Tracked<T>> = None;
-    for &(start, len) in blocks.iter().rev() {
-        let partial = reduce_block(machine, start, len, lo, &mut slots, op);
+    for &(start, _) in blocks.iter().rev() {
+        let block = match start - lo {
+            0 => std::mem::take(&mut rest),
+            at => rest.split_off(at as usize),
+        };
+        let partial = if machine.is_bare() {
+            machine.reduce_block(block, start, op)
+        } else {
+            reduce_block(machine, start, block, op)
+        };
         acc = Some(match acc {
             None => partial,
             Some(a) => {
@@ -113,10 +129,6 @@ pub fn reduce_z<T: Clone + Send + Sync>(
                 combined
             }
         });
-        if start != lo {
-            // keep the accumulator at the current block corner; the next
-            // (earlier) block will pull it over.
-        }
     }
     let res = acc.expect("non-empty range");
     machine.move_to(res, zorder::coord_of(lo))
@@ -130,14 +142,12 @@ pub fn reduce_z<T: Clone + Send + Sync>(
 fn reduce_block<T: Clone + Send + Sync>(
     machine: &mut Machine,
     start: u64,
-    len: u64,
-    base: u64,
-    slots: &mut [Option<Tracked<T>>],
+    mut vals: Vec<Tracked<T>>,
     op: &impl Fn(&T, &T) -> T,
 ) -> Tracked<T> {
-    let mut vals: Vec<Tracked<T>> = (0..len)
-        .map(|off| slots[(start - base + off) as usize].take().expect("cell populated"))
-        .collect();
+    for (i, it) in vals.iter().enumerate() {
+        debug_assert_eq!(it.loc(), zorder::coord_of(start + i as u64), "item {i} off its Z-cell");
+    }
     let mut stride = 1u64;
     while vals.len() > 1 {
         let groups = vals.len() / 4;

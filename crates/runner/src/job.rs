@@ -287,11 +287,16 @@ impl JobSpec {
     /// this value — which is what makes refusing a job whose floor already
     /// exceeds a tenant's remaining budget safe: it could never have fit.
     ///
-    /// Chaos kinds predict 0 (they exercise supervision, not the model).
+    /// Chaos kinds predict 0 (they exercise supervision, not the model),
+    /// and so does every job with `n ≤ 1`: a single element needs no
+    /// message, while the Θ shapes evaluate to 1 there.
     pub fn predicted_energy(&self) -> u64 {
         use spatial_core::theory::{
             scan_bound, selection_bound, sorting_bound, spmv_bound, Metric,
         };
+        if self.n <= 1 {
+            return 0;
+        }
         match self.kind {
             JobKind::Scan => scan_bound(Metric::Energy).eval_u64(self.n),
             JobKind::Sort => sorting_bound(Metric::Energy).eval_u64(self.n),
@@ -573,8 +578,13 @@ fn attempt(
         // attempt (accounting only — the bare fast path is unaffected).
         m.set_profile(profile_by_name(name).expect("spec profiles are validated at parse"));
     }
+    run_primitive(spec, m, spec.seed ^ (u64::from(attempt) << 32))
+}
+
+/// Runs `spec`'s primitive on `m` as it is armed, with `salt` seeding the
+/// randomized primitives.
+fn run_primitive(spec: &JobSpec, m: &mut Machine, salt: u64) -> Result<Vec<i64>, SpatialError> {
     let n = spec.n as usize;
-    let salt = spec.seed ^ (u64::from(attempt) << 32);
     match spec.kind {
         JobKind::Scan | JobKind::ChaosBadVerify => {
             let items = collectives::place_z(m, 0, spec.array.generate(n, spec.seed));
@@ -712,6 +722,32 @@ mod tests {
             assert_eq!(r.escalation, 0);
             assert_eq!(r.checksum, Some(checksum_i64(&host_oracle(&spec))), "{kind:?}");
             assert!(r.cost.unwrap().energy > 0);
+        }
+    }
+
+    #[test]
+    fn predicted_energy_never_exceeds_a_bare_run() {
+        // The admission floor's promise: no execution charges less energy.
+        for kind in [JobKind::Scan, JobKind::Sort, JobKind::Select, JobKind::TopK, JobKind::Spmv] {
+            for n in 0..=64u64 {
+                for array in ArrayKind::ALL {
+                    let doc = format!(
+                        r#"{{"kind": "{}", "n": {n}, "array": "{}"}}"#,
+                        kind.label(),
+                        array.label()
+                    );
+                    let json = Json::parse(&doc).expect("well-formed job");
+                    let spec = JobSpec::from_json(&json, 0).expect("the parser accepts the job");
+                    let mut m = Machine::new();
+                    run_primitive(&spec, &mut m, spec.seed).expect("a bare run cannot fail");
+                    assert!(
+                        spec.predicted_energy() <= m.energy(),
+                        "{doc}: floor {} above the executed energy {}",
+                        spec.predicted_energy(),
+                        m.energy()
+                    );
+                }
+            }
         }
     }
 

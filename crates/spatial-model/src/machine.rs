@@ -562,9 +562,8 @@ impl Machine {
     /// }
     /// ```
     ///
-    /// On an uninstrumented machine the whole gather runs as one pass of
-    /// counter arithmetic folding plain `&T` values — no intermediate
-    /// `Tracked` is built or torn down per arrival.
+    /// This is the instrumented scan's up-sweep step; on a bare machine the
+    /// scan runs as the level kernel [`Machine::scan_block`] instead.
     ///
     /// # Panics
     /// Panics if `srcs` is empty (a usage bug, not a model violation).
@@ -575,56 +574,15 @@ impl Machine {
         op: impl Fn(&T, &T) -> T,
     ) -> Tracked<T> {
         assert!(!srcs.is_empty(), "gather_copy requires at least one source");
-        if !self.is_bare() {
-            let mut acc = self.send(srcs[0], dst);
-            for s in &srcs[1..] {
-                let arrived = self.send(s, dst);
-                let next = acc.zip_with(&arrived, &op);
-                self.discard(acc);
-                self.discard(arrived);
-                acc = next;
-            }
-            return acc;
-        }
-        // Equidistant sources (e.g. a whole block's corners gathering at a
-        // level hub) charge their energy in one multiplication; the value
-        // fold itself is inherently sequential in arrival order either way.
-        let closed_form = match batch::classify(srcs.iter().map(|s| (s.loc(), dst))) {
-            BatchPattern::Uniform { drow, dcol } => {
-                let d = drow.unsigned_abs() + dcol.unsigned_abs();
-                self.add_energy_total(u128::from(srcs.len() as u64) * u128::from(d));
-                true
-            }
-            _ => false,
-        };
-        let mut energy = self.energy;
-        let mut depth = self.depth_watermark;
-        let mut distance = self.distance_watermark;
-        let first = srcs[0];
-        let d = first.loc().manhattan(dst);
-        if !closed_form {
-            energy = energy.saturating_add(d);
-        }
-        let mut path = first.path().step(d);
-        depth = depth.max(path.depth);
-        distance = distance.max(path.distance);
-        let mut value = first.value().clone();
+        let mut acc = self.send(srcs[0], dst);
         for s in &srcs[1..] {
-            let d = s.loc().manhattan(dst);
-            if !closed_form {
-                energy = energy.saturating_add(d);
-            }
-            let p = s.path().step(d);
-            depth = depth.max(p.depth);
-            distance = distance.max(p.distance);
-            value = op(&value, s.value());
-            path = path.join(p);
+            let arrived = self.send(s, dst);
+            let next = acc.zip_with(&arrived, &op);
+            self.discard(acc);
+            self.discard(arrived);
+            acc = next;
         }
-        self.energy = energy;
-        self.messages += srcs.len() as u64;
-        self.depth_watermark = depth;
-        self.distance_watermark = distance;
-        Tracked::raw(value, dst, path)
+        acc
     }
 
     /// The fold-and-scatter step of a multi-ary down-sweep in one call:
@@ -635,11 +593,10 @@ impl Machine {
     /// the PE it is already on is free, as in [`Machine::move_to`]).
     /// Returns the delivered prefixes; slot 0 is `None` when `carry` was.
     ///
-    /// Charges exactly what the open-coded gather/duplicate/`move_to` loop
-    /// charges. On an uninstrumented machine the whole step is one pass of
-    /// counter arithmetic with one value clone per emitted prefix; with any
-    /// instrumentation active it replays the open-coded sequence so
-    /// instruments observe the identical per-PE event stream.
+    /// This is the instrumented scan's down-sweep step, the open-coded
+    /// gather/duplicate/`move_to` sequence instruments observe; on a bare
+    /// machine the scan runs as the level kernel [`Machine::scan_block`]
+    /// instead.
     pub fn fold_scatter<T: Clone, const N: usize>(
         &mut self,
         carry: Option<Tracked<T>>,
@@ -650,85 +607,32 @@ impl Machine {
     ) -> [Option<Tracked<T>>; N] {
         assert_eq!(children.len() + 1, N, "one destination per running prefix");
         debug_assert!(carry.as_ref().is_none_or(|c| c.loc() == hub), "carry must reside at hub");
-        if !self.is_bare() {
-            let mut prefixes: [Option<Tracked<T>>; N] = std::array::from_fn(|_| None);
-            let mut running: Option<Tracked<T>> = carry;
-            if let Some(c) = &running {
-                prefixes[0] = Some(c.duplicate());
-            }
-            for (i, child) in children.iter().enumerate() {
-                let s = self.send(child, hub);
-                running = Some(match running.take() {
-                    None => s,
-                    Some(r) => {
-                        let nr = r.zip_with(&s, &op);
-                        self.discard(r);
-                        self.discard(s);
-                        nr
-                    }
-                });
-                prefixes[i + 1] = Some(running.as_ref().expect("just set").duplicate());
-            }
-            if let Some(r) = running {
-                self.discard(r);
-            }
-            let mut out: [Option<Tracked<T>>; N] = std::array::from_fn(|_| None);
-            for (i, p) in prefixes.into_iter().enumerate() {
-                out[i] = p.map(|p| self.move_to(p, dsts[i]));
-            }
-            return out;
-        }
-        // Classified gather leg: equidistant children charge their total in
-        // one multiplication, as in [`Machine::gather_copy`].
-        let gather_closed_form = match batch::classify(children.iter().map(|c| (c.loc(), hub))) {
-            BatchPattern::Uniform { drow, dcol } => {
-                let d = drow.unsigned_abs() + dcol.unsigned_abs();
-                self.add_energy_total(u128::from(children.len() as u64) * u128::from(d));
-                true
-            }
-            _ => false,
-        };
-        let mut out: [Option<Tracked<T>>; N] = std::array::from_fn(|_| None);
-        let mut running: Option<(T, Path)> = carry.map(|c| {
-            let (v, _, p) = c.into_parts();
-            (v, p)
-        });
-        if let Some((v, p)) = &running {
-            out[0] = Some(self.deliver_bare(v.clone(), *p, hub, dsts[0]));
+        let mut prefixes: [Option<Tracked<T>>; N] = std::array::from_fn(|_| None);
+        let mut running: Option<Tracked<T>> = carry;
+        if let Some(c) = &running {
+            prefixes[0] = Some(c.duplicate());
         }
         for (i, child) in children.iter().enumerate() {
-            let d = child.loc().manhattan(hub);
-            if !gather_closed_form {
-                self.energy = self.energy.saturating_add(d);
-            }
-            self.messages += 1;
-            let p = child.path().step(d);
-            self.depth_watermark = self.depth_watermark.max(p.depth);
-            self.distance_watermark = self.distance_watermark.max(p.distance);
+            let s = self.send(child, hub);
             running = Some(match running.take() {
-                None => (child.value().clone(), p),
-                Some((rv, rp)) => (op(&rv, child.value()), rp.join(p)),
+                None => s,
+                Some(r) => {
+                    let nr = r.zip_with(&s, &op);
+                    self.discard(r);
+                    self.discard(s);
+                    nr
+                }
             });
-            let (rv, rp) = running.as_ref().expect("just set");
-            out[i + 1] = Some(self.deliver_bare(rv.clone(), *rp, hub, dsts[i + 1]));
+            prefixes[i + 1] = Some(running.as_ref().expect("just set").duplicate());
+        }
+        if let Some(r) = running {
+            self.discard(r);
+        }
+        let mut out: [Option<Tracked<T>>; N] = std::array::from_fn(|_| None);
+        for (i, p) in prefixes.into_iter().enumerate() {
+            out[i] = p.map(|p| self.move_to(p, dsts[i]));
         }
         out
-    }
-
-    /// Move-semantics delivery on the bare fast path: charges one message
-    /// unless `src == dst` (free, like [`Machine::move_to`]).
-    #[inline]
-    fn deliver_bare<T>(&mut self, value: T, path: Path, src: Coord, dst: Coord) -> Tracked<T> {
-        if src == dst {
-            return Tracked::raw(value, src, path);
-        }
-        let d = src.manhattan(dst);
-        self.energy = self.energy.saturating_add(d);
-        self.messages += 1;
-        let p = path.step(d);
-        self.depth_watermark = self.depth_watermark.max(p.depth);
-        self.distance_watermark = self.distance_watermark.max(p.distance);
-        Tracked::raw(value, dst, p)
     }
 
     /// Local fold of co-located values (the machine-aware form of

@@ -42,6 +42,14 @@ impl<T> Tracked<T> {
         (self.value, self.loc, self.path)
     }
 
+    /// Replaces the value and path in place, keeping the location (the scan
+    /// kernel writes each result over its input leaf).
+    #[inline]
+    pub(crate) fn rewrite(&mut self, value: T, path: Path) {
+        self.value = value;
+        self.path = path;
+    }
+
     /// The PE the value resides at.
     #[inline]
     pub fn loc(&self) -> Coord {

@@ -445,6 +445,18 @@ fn report<T>(name: &str, n: u64, out: &Outcome<T>, bound: impl Fn(Metric) -> Sha
     }
 }
 
+/// The rank `select` and `topk` run with: `--k`, or `default` when it was
+/// not given (`--k 0` also means not given). An empty input or a rank
+/// outside `1..=n` is a usage error (exit 2).
+fn rank_arg(cmd: &str, a: &Args, default: u64) -> u64 {
+    let (n, k) = (a.n as u64, if a.k == 0 { default } else { a.k });
+    if !(1..=n).contains(&k) {
+        eprintln!("error: {cmd} needs --n >= 1 and 1 <= --k <= n (got n = {n}, k = {k})");
+        std::process::exit(2);
+    }
+    k
+}
+
 /// Side of the Z-order square holding `n` elements from index 0.
 fn z_side(n: u64) -> u64 {
     let padded = spatial_dataflow::model::zorder::next_power_of_four(n.max(1));
@@ -805,7 +817,7 @@ fn main() {
             println!("  verified against std sort ({} input).", a.kind.label());
         }
         "select" => {
-            let k = if a.k == 0 { a.n as u64 / 2 } else { a.k };
+            let k = rank_arg("select", &a, (a.n as u64 / 2).max(1));
             let vals = a.kind.generate(a.n, a.seed);
             let mut sorted = vals.clone();
             sorted.sort_unstable();
@@ -830,7 +842,7 @@ fn main() {
             );
         }
         "topk" => {
-            let k = if a.k == 0 { 16 } else { a.k };
+            let k = rank_arg("topk", &a, (a.n as u64).min(16));
             let vals = a.kind.generate(a.n, a.seed);
             let mut sorted = vals.clone();
             sorted.sort_unstable();

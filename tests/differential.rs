@@ -4,7 +4,8 @@
 //! hermetic replacement for the old crates.io-powered fuzzing setup.
 
 use spatial_dataflow::check::{check_cfg, Config, Gen};
-use spatial_dataflow::collectives::{place_row_major, scan_any};
+use spatial_dataflow::collectives::{broadcast_z, place_row_major, reduce_z, scan_any};
+use spatial_dataflow::model::zorder;
 use spatial_dataflow::prelude::*;
 use spatial_dataflow::rng::Rng;
 use spatial_dataflow::sorting::{merge_adjacent, shearsort_snake, Keyed};
@@ -262,4 +263,137 @@ fn differential_rng_gen_range_is_in_bounds_and_unbiased_enough() {
         prop_assert!(span > 64 || hit.iter().all(|&h| h), "missed a bucket in span {span}");
         Ok(())
     });
+}
+
+/// Runs `run` on a bare machine, which takes the closed-form level kernels,
+/// and on one with a trace armed, which forces the per-node path, and
+/// asserts that both charge the same cost and return the same
+/// `(value, loc, path)` outputs.
+fn assert_kernel_matches_replay<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    run: impl Fn(&mut Machine) -> Vec<Tracked<T>>,
+) {
+    let parts = |out: Vec<Tracked<T>>| -> Vec<(Coord, Path, T)> {
+        out.into_iter().map(|t| (t.loc(), t.path(), t.into_value())).collect()
+    };
+    let mut bare = Machine::new();
+    let got = parts(run(&mut bare));
+    let mut traced = Machine::new();
+    traced.enable_trace(0); // armed, so every message takes the per-node path; keeps no records
+    let want = parts(run(&mut traced));
+    let replayed = traced.trace().expect("trace armed").dropped();
+    assert_eq!(replayed, traced.report().messages, "{what}: every message replayed");
+    assert_eq!(bare.report(), traced.report(), "{what}: cost");
+    assert_eq!(got, want, "{what}: outputs");
+}
+
+/// Places `vals[i]` on Z-index `lo + i`. Two items in three first travel
+/// out and back once or twice, so the inputs carry unequal non-zero paths.
+fn place_with_paths<T>(m: &mut Machine, lo: u64, vals: Vec<T>) -> Vec<Tracked<T>> {
+    vals.into_iter()
+        .enumerate()
+        .map(|(i, v)| {
+            let home = zorder::coord_of(lo + i as u64);
+            let mut t = m.place(home, v);
+            for _ in 0..i % 3 {
+                t = m.send_owned(t, home.offset(1 + (i % 4) as i64, -((i % 5) as i64)));
+                t = m.send_owned(t, home);
+            }
+            t
+        })
+        .collect()
+}
+
+/// `n` one-letter strings, folded by [`concat`].
+fn letters(rng: &mut Rng, n: u64) -> Vec<String> {
+    (0..n).map(|_| char::from(b'a' + rng.gen_range(0u8..26)).to_string()).collect()
+}
+
+/// Concatenation that brackets every fold: neither commutative nor
+/// associative, so each value spells out the exact fold tree that built it
+/// and both paths must combine the same operands in the same shape.
+fn concat(a: &String, b: &String) -> String {
+    format!("({a}{b})")
+}
+
+/// Every collective the level kernels serve, bare against replayed.
+fn assert_collectives_match_replay(rng: &mut Rng, lo: u64, n: u64) {
+    let vals = letters(rng, n);
+    let heads: Vec<SegItem<i64>> =
+        (0..n).map(|_| SegItem::new(rng.gen_bool(0.25), rng.gen_range(-99i64..=99))).collect();
+    let root = rng.gen_range(0i64..1 << 40).to_string();
+    let aligned = zorder::is_power_of_four(n) && lo.is_multiple_of(n);
+    let at = format!("lo={lo} n={n}");
+    if aligned {
+        assert_kernel_matches_replay(&format!("scan {at}"), |m| {
+            let items = place_with_paths(m, lo, vals.clone());
+            scan(m, lo, items, &concat)
+        });
+        assert_kernel_matches_replay(&format!("scan_exclusive {at}"), |m| {
+            let items = place_with_paths(m, lo, vals.clone());
+            scan_exclusive(m, lo, items, "^".to_string(), &concat)
+        });
+        assert_kernel_matches_replay(&format!("segmented_scan {at}"), |m| {
+            let items = place_with_paths(m, lo, heads.clone());
+            segmented_scan(m, lo, items, &|a: &i64, b: &i64| a + b)
+        });
+    }
+    assert_kernel_matches_replay(&format!("scan_any {at}"), |m| {
+        let items = place_with_paths(m, lo, vals.clone());
+        scan_any(m, lo, items, &concat)
+    });
+    assert_kernel_matches_replay(&format!("broadcast_z {at}"), |m| {
+        let r = m.place(zorder::coord_of(lo).offset(3, -2), root.clone());
+        let r = m.send_owned(r, zorder::coord_of(lo).offset(0, 5));
+        broadcast_z(m, r, lo, lo + n)
+    });
+    assert_kernel_matches_replay(&format!("reduce_z {at}"), |m| {
+        let items = place_with_paths(m, lo, vals.clone());
+        vec![reduce_z(m, items, lo, &concat)]
+    });
+}
+
+#[test]
+fn differential_level_kernels_match_the_replay_on_aligned_blocks() {
+    let mut rng = Rng::seed_from_u64(0x5CA7);
+    for k in 0..=6 {
+        let n = 1u64 << (2 * k);
+        for lo in [0, n, 3 * n] {
+            assert_collectives_match_replay(&mut rng, lo, n);
+        }
+    }
+}
+
+#[test]
+fn differential_level_kernels_match_the_replay_on_unaligned_ranges() {
+    let mut rng = Rng::seed_from_u64(0xA11C);
+    let fixed = [(3u64, 26u64), (17, 1), (5, 128), (64, 48), (11, 80), (1, 2), (2, 3), (4, 24)];
+    let drawn: Vec<(u64, u64)> =
+        (0..16).map(|_| (rng.gen_range(0u64..5000), rng.gen_range(1u64..700))).collect();
+    for (lo, n) in fixed.into_iter().chain(drawn) {
+        assert_collectives_match_replay(&mut rng, lo, n);
+    }
+}
+
+/// The bare kernels trust each input's Z-cell for its hop lengths, so a
+/// misplaced input must still fail loudly rather than be charged as if it
+/// sat on its cell.
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "placement is checked by debug assertions")]
+#[should_panic(expected = "off its Z-cell")]
+fn bare_scan_rejects_a_leaf_off_its_z_cell() {
+    let mut m = Machine::new();
+    let items = place_z(&mut m, 4, vec![1i64, 2, 3, 4]);
+    assert!(m.is_bare());
+    let _ = scan(&mut m, 0, items, &|a, b| a + b);
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "placement is checked by debug assertions")]
+#[should_panic(expected = "off its Z-cell")]
+fn bare_reduce_z_rejects_an_item_off_its_z_cell() {
+    let mut m = Machine::new();
+    let items = place_z(&mut m, 16, vec![1i64; 16]);
+    assert!(m.is_bare());
+    let _ = reduce_z(&mut m, items, 0, &|a, b| a + b);
 }

@@ -226,6 +226,26 @@ mod cli_exit_codes {
     }
 
     #[test]
+    fn rank_argument_edges_exit_cleanly() {
+        // Empty inputs and ranks outside 1..=n are usage errors (exit 2),
+        // never index panics; `--k 0` selects the default rank.
+        for cmd in ["select", "topk"] {
+            for n in 0u64..=2 {
+                for k in [0, 1, n, n + 1] {
+                    let args = [cmd, "--n", &n.to_string(), "--k", &k.to_string()];
+                    let out = run(&args);
+                    let stderr = String::from_utf8_lossy(&out.stderr);
+                    let code = out.status.code();
+                    assert!(matches!(code, Some(0 | 2)), "{args:?} exited {code:?}: {stderr}");
+                    assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+                    let valid = n >= 1 && k <= n;
+                    assert_eq!(code == Some(0), valid, "{args:?}: {stderr}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn unknown_profile_is_a_typed_usage_error() {
         // A bad --profile must exit 2 with a message naming the stranger and
         // listing the built-ins — not the generic usage dump, and certainly
