@@ -446,7 +446,7 @@ fn main() {
         // final counters, so a profiled machine must run the hot path at
         // full speed. `is_bare()` deliberately ignores the profile field —
         // this gate fails if anyone ever wires profiles into the per-message
-        // path (which would also disable the closed-form batch kernels).
+        // path (which would also disable the closed-form level kernels).
         if want("sort_z/65536") {
             println!("-- profile gate (sort_z/65536, wse-like vs bare) --");
             set_sim_threads(1);

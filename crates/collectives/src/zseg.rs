@@ -48,9 +48,7 @@ pub fn broadcast_z<T: Clone + Send + Sync>(
 /// Quadrant broadcast within one aligned block, level by level, appending
 /// the block's copies to `out` in Z order. At each level the filled corners
 /// (offsets `k·span`) each copy to their three sibling corners
-/// `k·span + i·q`; because the block is aligned, the displacement is
-/// `decode(i·q)` for every `k`, so each `(level, i)` is one
-/// [`spatial_model::BatchPattern::Uniform`] batch. Charges exactly what the
+/// `k·span + i·q`, one batch per `(level, i)`. Charges exactly what the
 /// depth-first recursion charges.
 fn bcast_block<T: Clone + Send + Sync>(
     machine: &mut Machine,
@@ -135,9 +133,8 @@ pub fn reduce_z<T: Clone + Send + Sync>(
 }
 
 /// Quadrant sum-reduce within one aligned block, bottom-up level by level.
-/// Each level's group of four partials folds onto the group corner; the
-/// three travelling siblings share displacement `−decode(i·stride)` across
-/// every group, so each `(level, i)` is one uniform batch. Siblings fold in
+/// Each level's group of four partials folds onto the group corner, the
+/// three travelling siblings in one batch per `(level, i)`. Siblings fold in
 /// ascending quadrant order, exactly as the depth-first recursion does.
 fn reduce_block<T: Clone + Send + Sync>(
     machine: &mut Machine,

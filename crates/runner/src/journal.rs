@@ -372,8 +372,7 @@ fn parse_tenant(v: &Json) -> Option<TenantSnapshot> {
 }
 
 fn cache_entry_json(key: &CacheKey, r: &JobResult) -> String {
-    let profile =
-        key.profile.map_or_else(|| "null".to_string(), |name| format!("\"{name}\""));
+    let profile = key.profile.map_or_else(|| "null".to_string(), |name| format!("\"{name}\""));
     let key_json = format!(
         "{{\"kind\": \"{}\", \"n\": {}, \"seed\": {}, \"array\": \"{}\", \"k\": {}, \
          \"faults\": [{}, {}, {}], \"budget\": {}, \"retries\": {}, \"profile\": {profile}}}",

@@ -3,7 +3,7 @@
 //! The serve protocol is newline-delimited, but its inputs are hostile:
 //! clients (and fuzzers) send invalid UTF-8, half-lines, and torn streams.
 //! The rules for turning raw bytes into *consuming* protocol lines live
-//! here, in exactly one place, so the stdin path ([`crate::serve`]), the
+//! here, in exactly one place, so the stdin path ([`mod@crate::serve`]), the
 //! socket path ([`crate::net`]), and the reconnecting client
 //! ([`crate::client`]) cannot drift apart:
 //!

@@ -9,10 +9,12 @@
 //!   [`TaskOutcome::Panicked`] with the panic message, and its worker thread
 //!   survives to run the next task.
 //! * **Deadlines** — every task owns a [`CancelToken`] created before the
-//!   pool starts. A watchdog thread polls the running set and trips the
-//!   token of any task past its deadline; the simulator checks the token
-//!   cooperatively on every `place`/`send`, so a runaway job surfaces
-//!   `SpatialError::Cancelled` within one message of the deadline firing.
+//!   pool starts. A watchdog thread polls the running set once per tick and
+//!   trips the token of any task past its deadline; the last task to finish
+//!   wakes it, so the pool returns without sleeping out a tick. The
+//!   simulator checks the token cooperatively on every `place`/`send`, so a
+//!   runaway job surfaces `SpatialError::Cancelled` within one message of
+//!   the deadline firing.
 //!   No wall-clock ever enters the simulator itself — the token is a plain
 //!   flag, which is what keeps cancelled runs classifiable without
 //!   poisoning cost determinism.
@@ -30,7 +32,6 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -142,7 +143,6 @@ pub fn run_supervised<T: Send>(cfg: &PoolConfig, tasks: Vec<Task<'_, T>>) -> Vec
     let queue = Mutex::new(Queue { ready: VecDeque::new(), closed: false });
     let not_empty = Condvar::new();
     let not_full = Condvar::new();
-    let remaining = AtomicUsize::new(0);
 
     // Admission. With shedding enabled this happens entirely before any
     // worker starts (the queue lock is held by nobody else yet), so the
@@ -156,25 +156,27 @@ pub fn run_supervised<T: Send>(cfg: &PoolConfig, tasks: Vec<Task<'_, T>>) -> Vec
         for (i, s) in shed.iter_mut().enumerate() {
             if i < admit {
                 q.ready.push_back(i);
-                remaining.fetch_add(1, Ordering::SeqCst);
             } else {
                 *s = true;
             }
         }
         q.closed = true;
-    } else {
-        remaining.store(n, Ordering::SeqCst);
     }
     let admitted = if gated { admit.min(n) } else { n };
+    // Admitted tasks not yet finished; the last one to finish signals
+    // `all_done` so the watchdog exits at once.
+    let remaining = Mutex::new(admitted);
+    let all_done = Condvar::new();
     let workers = cfg.workers.max(1).min(admitted.max(1));
     let tick = Duration::from_millis(cfg.watchdog_tick_ms.max(1));
 
     std::thread::scope(|scope| {
-        // Watchdog: trip the token of any running task past its deadline.
-        // Exits once every admitted task has completed.
+        // Watchdog: once per tick, trip the token of any running task past
+        // its deadline. Exits as soon as every admitted task has completed.
         scope.spawn(|| {
-            while remaining.load(Ordering::SeqCst) > 0 {
-                std::thread::sleep(tick);
+            let mut left = remaining.lock().unwrap();
+            while *left > 0 {
+                left = all_done.wait_timeout(left, tick).unwrap().0;
                 let now = Instant::now();
                 for (i, slot) in running.iter().enumerate() {
                     let due = *slot.lock().unwrap();
@@ -214,7 +216,11 @@ pub fn run_supervised<T: Send>(cfg: &PoolConfig, tasks: Vec<Task<'_, T>>) -> Vec
                 };
                 *running[idx].lock().unwrap() = None;
                 *results[idx].lock().unwrap() = Some(outcome);
-                remaining.fetch_sub(1, Ordering::SeqCst);
+                let mut left = remaining.lock().unwrap();
+                *left -= 1;
+                if *left == 0 {
+                    all_done.notify_one();
+                }
             });
         }
 
@@ -313,6 +319,23 @@ mod tests {
         };
         let out = run_supervised(&cfg, vec![spin]);
         assert_eq!(out, vec![TaskOutcome::Done(true)]);
+    }
+
+    #[test]
+    fn last_task_wakes_the_watchdog_instead_of_waiting_out_its_tick() {
+        // The task outlives the watchdog's start-up, so the watchdog is
+        // inside its tick when the task finishes.
+        let cfg = PoolConfig { watchdog_tick_ms: 10_000, ..Default::default() };
+        let task = Task {
+            deadline_ms: None,
+            run: Box::new(|_: &CancelToken| {
+                std::thread::sleep(Duration::from_millis(50));
+                7
+            }),
+        };
+        let start = Instant::now();
+        assert_eq!(run_supervised(&cfg, vec![task]), vec![TaskOutcome::Done(7)]);
+        assert!(start.elapsed() < Duration::from_secs(1), "took {:?}", start.elapsed());
     }
 
     #[test]

@@ -107,10 +107,11 @@ impl BatchReport {
             // summed counters); EDP is not, so `edp_total` is the plain sum
             // of per-job EDPs — a workload figure of merit, not a physical
             // quantity of the union run.
-            let total_pj: u128 =
-                self.jobs.iter().filter_map(|j| j.profiled.as_ref()).fold(0u128, |a, p| {
-                    a.saturating_add(p.total_pj)
-                });
+            let total_pj: u128 = self
+                .jobs
+                .iter()
+                .filter_map(|j| j.profiled.as_ref())
+                .fold(0u128, |a, p| a.saturating_add(p.total_pj));
             let edp_total: u128 = self
                 .jobs
                 .iter()
@@ -235,7 +236,13 @@ mod tests {
         ok.error = None;
         ok.wall_ms = 17;
         let shed = JobResult::shed(&JobSpec::new("b", JobKind::Sort));
-        BatchReport { name: "t".into(), workers: 2, profile: None, jobs: vec![ok, shed], wall_ms: 99 }
+        BatchReport {
+            name: "t".into(),
+            workers: 2,
+            profile: None,
+            jobs: vec![ok, shed],
+            wall_ms: 99,
+        }
     }
 
     #[test]

@@ -110,14 +110,12 @@ fn allpairs_rank_inner<P: Ord + Clone + Send + Sync>(
     }
 
     // Step 3 (array copy): replicate the whole array into every block that
-    // hosts an element, treating blocks as units of a Z-quadrant broadcast.
-    // Level order: every level's cross-block replication is one uniform
-    // batch per target quadrant, because aligned blocks put corresponding
-    // cells at one common displacement.
+    // hosts an element, treating blocks as units of a Z-quadrant broadcast,
+    // level by level with one batch per target quadrant.
     let block_copies: Vec<Vec<Tracked<P>>> = copy_to_blocks(machine, staged, bm, m, scratch_lo);
 
     // Step 2 (per-block broadcast): element i floods block i. All blocks
-    // advance level by level, so each level's sends are uniform batches too.
+    // advance level by level, one batch per level and quadrant.
     let bcasts: Vec<Vec<Tracked<P>>> = bcast_all_blocks(
         machine,
         corners.iter().map(|c| c.duplicate()).collect(),
@@ -199,9 +197,7 @@ pub fn allpairs_sort_to_z<P: Ord + Clone + Send + Sync>(
 /// Replicates the array held by block 0 into every block that hosts an
 /// element (block index `< m_used`), level by level over the block-index
 /// quadtree. At each level every holder block copies its `m_used` elements
-/// into up to three target blocks; aligned blocks keep corresponding cells
-/// at one common displacement per `(level, quadrant)`, so each of those
-/// copies is a single [`spatial_model::BatchPattern::Uniform`] batch.
+/// into up to three target blocks, one batch per `(level, quadrant)`.
 /// Charges exactly what the depth-first per-element recursion charges.
 /// Returns one array copy per hosting block, in block order.
 fn copy_to_blocks<P: Clone + Send + Sync>(
@@ -254,10 +250,10 @@ fn copy_to_blocks<P: Clone + Send + Sync>(
 }
 
 /// Z-quadrant broadcast inside every block at once, level by level: each
-/// level's sends across all blocks share one displacement per quadrant and
-/// are charged as uniform batches. `roots[i]` floods the block at
-/// `scratch_lo + i·bm`; returns, per block, one value per cell indexed by
-/// Z-offset. Charges exactly what the per-block recursive broadcast charges.
+/// level sends one batch per quadrant across all blocks. `roots[i]` floods
+/// the block at `scratch_lo + i·bm`; returns, per block, one value per cell
+/// indexed by Z-offset. Charges exactly what the per-block recursive
+/// broadcast charges.
 fn bcast_all_blocks<T: Clone + Send + Sync>(
     machine: &mut Machine,
     roots: Vec<Tracked<T>>,
@@ -332,8 +328,7 @@ fn reduce_all_blocks(
         let groups = vals[0].len() / 4;
         // Decompose each group of 4 siblings: the corner partial seeds the
         // accumulator, the three high siblings travel to the corner — one
-        // uniform batch per sibling index (displacement −decode(i·stride)
-        // for every group of every block).
+        // batch per sibling index across every group of every block.
         let mut keep: Vec<Vec<Tracked<u64>>> = Vec::with_capacity(vals.len());
         let mut sib_sends: [Vec<(Tracked<u64>, Coord)>; 3] =
             std::array::from_fn(|_| Vec::with_capacity(vals.len() * groups));

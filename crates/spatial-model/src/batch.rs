@@ -1,17 +1,16 @@
-//! Batch-pattern classification and deterministic sharded execution for the
+//! Batch-shape description and deterministic sharded execution for the
 //! bare (uninstrumented) fast path of the machine's batch APIs.
 //!
-//! The bulk of the messages in a large run come from *regular* batches:
-//! whole Z-blocks exchanging values at one common displacement (block
-//! replication, in-block broadcast levels, quarter shifts) or at an affinely
-//! strided one. For those, the aggregate energy is an arithmetic series and
-//! the message count is exact arithmetic — no per-item Manhattan distance or
-//! saturating add is needed. [`classify`] recognizes the two closed-form
-//! shapes; anything else is [`BatchPattern::Irregular`] and pays the ordinary
-//! per-item loop.
+//! [`classify`] names the displacement shape of a batch of point-to-point
+//! messages ([`BatchPattern`]). It describes a batch; the machine does not
+//! branch on it. Every bare batch call charges each message its own
+//! Manhattan distance in one per-item loop: the regular quadtree DAGs whose
+//! batches are uniform run as closed-form level kernels
+//! ([`crate::kernels`]) instead, and a closed form for the few regular
+//! batches left would still visit every item to step its [`Path`].
 //!
-//! The remaining per-item work (constructing each delivered value and
-//! extending its [`Path`]) is embarrassingly parallel, so `shard_map`
+//! That per-item work (charging each message, constructing each delivered
+//! value and extending its path) is embarrassingly parallel, so `shard_map`
 //! partitions it into contiguous chunks across `std::thread::scope` workers.
 //! Each worker accumulates into a private `ShardAcc`; the partials are
 //! merged **in fixed shard order** (lowest item index first). Every merged
@@ -24,8 +23,9 @@
 //! non-negative terms equals `min(true_sum, u64::MAX)`: partial sums are
 //! monotone, so the fold clamps exactly when the true sum exceeds `u64::MAX`
 //! and is exact otherwise. Per-shard partials merged with `saturating_add`
-//! compute the same function, as do the `u128` closed forms — so all three
-//! evaluation orders agree bit-for-bit even at the saturation boundary.
+//! compute the same function, as do the `u128` closed forms of the level
+//! kernels — so all three evaluation orders agree bit-for-bit even at the
+//! saturation boundary.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -33,15 +33,17 @@ use std::sync::OnceLock;
 use crate::coord::Coord;
 use crate::path::Path;
 
-/// The displacement structure of a batch of point-to-point messages.
+/// The displacement structure of a batch of point-to-point messages. It
+/// describes a batch; the machine's batch APIs charge every shape with the
+/// same per-item loop.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BatchPattern {
     /// No items.
     Empty,
     /// Every message has the same `(drow, dcol)` displacement — e.g. a whole
     /// aligned Z-block shifting to a sibling block. Translation invariance
-    /// of the Manhattan metric makes every per-message cost identical, so
-    /// the batch is charged in O(1): `energy = count · (|drow| + |dcol|)`.
+    /// of the Manhattan metric makes every per-message cost identical:
+    /// `energy = count · (|drow| + |dcol|)`.
     Uniform {
         /// Common row displacement (`dst.row - src.row`).
         drow: i64,
@@ -49,9 +51,7 @@ pub enum BatchPattern {
         dcol: i64,
     },
     /// Message `i` has displacement `(drow + i·srow, dcol + i·scol)` with
-    /// `(srow, scol) ≠ (0, 0)` — e.g. a strided compaction. The energy sum
-    /// is an arithmetic series split at the (at most one) sign change per
-    /// axis, still O(1).
+    /// `(srow, scol) ≠ (0, 0)` — e.g. a strided compaction.
     Affine {
         /// Row displacement of item 0.
         drow: i64,
@@ -62,8 +62,7 @@ pub enum BatchPattern {
         /// Per-item column stride.
         scol: i64,
     },
-    /// Anything else: charged by the ordinary per-item loop (sharded when
-    /// large).
+    /// Anything else.
     Irregular,
 }
 
@@ -90,100 +89,6 @@ pub fn classify(mut pairs: impl Iterator<Item = (Coord, Coord)>) -> BatchPattern
     } else {
         BatchPattern::Affine { drow: base.0, dcol: base.1, srow: stride.0, scol: stride.1 }
     }
-}
-
-/// `Σ_{i=0}^{n-1} |a + i·s|`, exactly, as the arithmetic series split at the
-/// single sign change of the monotone sequence. `u128` so no intermediate
-/// overflows for any realistic grid.
-pub(crate) fn sum_abs_affine(a: i64, s: i64, n: u64) -> u128 {
-    if n == 0 {
-        return 0;
-    }
-    if s == 0 {
-        return u128::from(n) * u128::from(a.unsigned_abs());
-    }
-    let (a, s, n) = (i128::from(a), i128::from(s), i128::from(n));
-    // Σ_{i=lo}^{hi} (a + i·s); `2a + (lo+hi)s` is even times cnt, but avoid
-    // the parity question by summing 2× and halving once.
-    let series = |lo: i128, hi: i128| -> i128 {
-        let cnt = hi - lo + 1;
-        cnt * (2 * a + (lo + hi) * s) / 2
-    };
-    // Number of leading indices on the negative side of the monotone ramp.
-    let neg = if s > 0 {
-        // a + i·s < 0  ⇔  i < ⌈-a / s⌉
-        if a >= 0 {
-            0
-        } else {
-            ((-a) + s - 1).div_euclid(s).clamp(0, n)
-        }
-    } else {
-        // decreasing: a + i·s < 0  ⇔  i > a / (-s); count the tail.
-        if a < 0 {
-            n
-        } else {
-            (n - 1 - (a.div_euclid(-s)).min(n - 1)).clamp(0, n)
-        }
-    };
-    let mut total: i128 = 0;
-    if s > 0 {
-        if neg > 0 {
-            total -= series(0, neg - 1);
-        }
-        if neg < n {
-            total += series(neg, n - 1);
-        }
-    } else {
-        let pos = n - neg;
-        if pos > 0 {
-            total += series(0, pos - 1);
-        }
-        if neg > 0 {
-            total -= series(pos, n - 1);
-        }
-    }
-    debug_assert!(total >= 0);
-    total as u128
-}
-
-/// How many indices `i ∈ [0, n)` of an affine batch have zero displacement
-/// (`drow + i·srow == 0` and `dcol + i·scol == 0`). At most one unless the
-/// pattern degenerates to uniform-zero (which [`classify`] reports as
-/// `Uniform`), so this is O(1).
-pub(crate) fn affine_zero_count(drow: i64, dcol: i64, srow: i64, scol: i64, n: u64) -> u64 {
-    // Solutions of one axis equation `d + i·s == 0` over i ∈ [0, n).
-    let axis = |d: i64, s: i64| -> AxisZeros {
-        if s == 0 {
-            if d == 0 {
-                AxisZeros::All
-            } else {
-                AxisZeros::None
-            }
-        } else if d % s == 0 {
-            let i = -(d / s);
-            if i >= 0 && (i as u64) < n {
-                AxisZeros::One(i as u64)
-            } else {
-                AxisZeros::None
-            }
-        } else {
-            AxisZeros::None
-        }
-    };
-    match (axis(drow, srow), axis(dcol, scol)) {
-        (AxisZeros::None, _) | (_, AxisZeros::None) => 0,
-        (AxisZeros::One(i), AxisZeros::One(j)) => u64::from(i == j),
-        (AxisZeros::One(_), AxisZeros::All) | (AxisZeros::All, AxisZeros::One(_)) => 1,
-        // Both axes identically zero would be `Uniform { 0, 0 }`, never an
-        // `Affine` classification; unreachable but harmless.
-        (AxisZeros::All, AxisZeros::All) => n,
-    }
-}
-
-enum AxisZeros {
-    None,
-    One(u64),
-    All,
 }
 
 /// Override slot for [`sim_threads`]; `0` means "no override, use the
@@ -407,32 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_abs_affine_matches_naive() {
-        for &(a, s) in &[(0i64, 0i64), (5, 0), (-5, 0), (-7, 2), (7, -2), (3, 3), (-3, -3), (1, -1)]
-        {
-            for n in 0u64..20 {
-                let naive: u128 =
-                    (0..n).map(|i| u128::from((a + i as i64 * s).unsigned_abs())).sum();
-                assert_eq!(sum_abs_affine(a, s, n), naive, "a={a} s={s} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn affine_zero_count_matches_naive() {
-        for &(dr, dc, sr, sc) in
-            &[(0i64, 0i64, 1i64, 0i64), (-4, -6, 2, 3), (-4, -6, 2, 2), (-4, 0, 2, 0), (1, 1, 2, 2)]
-        {
-            for n in 0u64..8 {
-                let naive = (0..n)
-                    .filter(|&i| dr + i as i64 * sr == 0 && dc + i as i64 * sc == 0)
-                    .count() as u64;
-                assert_eq!(affine_zero_count(dr, dc, sr, sc, n), naive, "{dr},{dc},{sr},{sc},{n}");
-            }
-        }
-    }
-
-    #[test]
     fn shard_map_is_partition_independent() {
         // Large enough to shard; compare against the serial fold.
         let items: Vec<u64> = (0..(MIN_PARALLEL_ITEMS as u64 * 2 + 17)).collect();
@@ -462,18 +341,17 @@ mod tests {
     #[test]
     fn profiled_totals_agree_across_bare_sharded_and_instrumented_paths() {
         // The profile is charged from the final counters, and the raw
-        // counters are bit-identical across the bare closed-form path, the
-        // shard engine at any thread count, and the instrumented per-item
-        // replay — so every profiled total must agree too. This pins that
-        // chain end to end on the machine's batch APIs.
+        // counters are bit-identical across the shard engine at any thread
+        // count and the instrumented per-item replay — so every profiled
+        // total must agree too. This pins that chain end to end on the
+        // machine's batch APIs.
         use crate::machine::Machine;
         use crate::profile::{builtin_profiles, ProfiledCost};
 
         let n = MIN_PARALLEL_ITEMS + 1031; // past the shard engage threshold
         let run = |m: &mut Machine| {
-            let items =
-                m.place_batch((0..n as u64).collect(), |i| Coord::new(i as i64 % 509, 0));
-            // Uniform phase: O(1) closed form on the bare path.
+            let items = m.place_batch((0..n as u64).collect(), |i| Coord::new(i as i64 % 509, 0));
+            // Uniform phase: one common displacement for every item.
             let moved = m.send_batch(
                 items
                     .into_iter()
@@ -483,7 +361,7 @@ mod tests {
                     })
                     .collect(),
             );
-            // Irregular phase: per-item charging, sharded when large.
+            // Irregular phase: a displacement per item.
             let _ = m.send_batch(
                 moved
                     .into_iter()
@@ -521,7 +399,7 @@ mod tests {
 
     #[test]
     fn u128_intermediates_charge_a_two_to_twenty_message_run_exactly() {
-        // A closed-form 2^20-message run under weights big enough that every
+        // A sharded 2^20-message run under weights big enough that every
         // pJ component overflows u64: the u128 intermediates must carry the
         // exact products (no clamp, no wrap, no error for representable
         // results).

@@ -18,9 +18,10 @@
 //!
 //! * **Energy / messages.** Aligned Z-blocks keep corresponding cells at one
 //!   common displacement per quadtree edge (`decode` is additive across
-//!   disjoint bit ranges), so each phase is a sequence of uniform batches.
-//!   Their true sums are charged through the same saturating accumulator the
-//!   batch API uses; saturating addition of non-negative terms is
+//!   disjoint bit ranges), so each phase is a sequence of groups of messages
+//!   that all cross one displacement, and each group's energy is its count
+//!   times that length. The true sums are charged through the saturating
+//!   `add_energy_total`; saturating addition of non-negative terms is
 //!   grouping-independent (see the saturation note in [`crate::batch`]), so
 //!   the final counter is bit-identical to the per-item loop's.
 //! * **Paths.** `Path::step` adds constants and `Path::join` is an

@@ -3,7 +3,7 @@
 
 use spatial_rng::Rng;
 
-use crate::batch::{self, BatchPattern};
+use crate::batch::{self, ShardAcc};
 use crate::cancel::CancelToken;
 use crate::coord::Coord;
 use crate::cost::Cost;
@@ -93,7 +93,7 @@ pub struct Machine {
     /// The cost profile reports are charged under. **Not an instrument**:
     /// profiles are pure accounting applied to the final counters by
     /// [`Machine::profiled_report`], so setting one keeps
-    /// [`Machine::is_bare`] true and the closed-form batch kernels engaged.
+    /// [`Machine::is_bare`] true and the closed-form level kernels engaged.
     profile: crate::profile::ProfileHandle,
 }
 
@@ -109,9 +109,7 @@ impl Machine {
     /// shard engine, none of which it perturbs — and applied to the exact
     /// counters at [`Machine::profiled_report`] time.
     pub fn with_profile(profile: &'static dyn crate::profile::CostProfile) -> Self {
-        let mut m = Machine::default();
-        m.profile = crate::profile::ProfileHandle(profile);
-        m
+        Machine { profile: crate::profile::ProfileHandle(profile), ..Machine::default() }
     }
 
     /// Replaces the active cost profile (accounting only; never affects
@@ -400,14 +398,14 @@ impl Machine {
     /// Merges a shard partial's watermarks only (energy/messages were
     /// charged in closed form).
     #[inline]
-    pub(crate) fn absorb_watermarks(&mut self, acc: crate::batch::ShardAcc) {
+    pub(crate) fn absorb_watermarks(&mut self, acc: ShardAcc) {
         self.depth_watermark = self.depth_watermark.max(acc.depth);
         self.distance_watermark = self.distance_watermark.max(acc.distance);
     }
 
     /// Merges a full shard partial into the machine's counters.
     #[inline]
-    fn absorb_shard(&mut self, acc: crate::batch::ShardAcc) {
+    fn absorb_shard(&mut self, acc: ShardAcc) {
         self.energy = self.energy.saturating_add(acc.energy);
         self.messages += acc.messages;
         self.absorb_watermarks(acc);
@@ -417,77 +415,25 @@ impl Machine {
     /// same costs as [`Machine::move_to`] on every pair (self-messages are
     /// skipped, all others charge one message).
     ///
-    /// On an uninstrumented machine the batch is first classified (see
-    /// [`BatchPattern`]): uniform and affine-strided displacement batches
-    /// charge energy and message count with O(1) closed-form arithmetic,
-    /// irregular ones with the ordinary per-item loop; either way the
-    /// per-item delivery construction is sharded across workers for large
-    /// batches ([`crate::sim_threads`]), with shard partials merged in fixed
-    /// order so costs are bit-identical at any thread count. With any
-    /// instrumentation active (meter, trace, faults, guard, cancellation)
-    /// each pair goes through the ordinary `move_to` path, so batching
-    /// never changes what instruments observe.
+    /// On an uninstrumented machine the batch runs as one per-item loop,
+    /// sharded across workers for large batches ([`crate::sim_threads`]),
+    /// with shard partials merged in fixed order so costs are bit-identical
+    /// at any thread count. With any instrumentation active (meter, trace,
+    /// faults, guard, cancellation) each pair goes through the ordinary
+    /// `move_to` path, so batching never changes what instruments observe.
     pub fn send_batch<T: Send>(&mut self, items: Vec<(Tracked<T>, Coord)>) -> Vec<Tracked<T>> {
         if !self.is_bare() {
             return items.into_iter().map(|(t, dst)| self.move_to(t, dst)).collect();
         }
-        let n = items.len() as u64;
-        match batch::classify(items.iter().map(|(t, dst)| (t.loc(), *dst))) {
-            // All self-moves: free, nothing charged, nothing moved.
-            BatchPattern::Uniform { drow: 0, dcol: 0 } => {
-                items.into_iter().map(|(t, _)| t).collect()
+        let (out, acc) = batch::shard_map(items, |(t, dst), _, acc| {
+            if t.loc() == dst {
+                return t;
             }
-            // One common displacement and it is non-zero, so no pair is a
-            // self-move: energy is count × length in one multiplication.
-            BatchPattern::Uniform { drow, dcol } => {
-                let d = drow.unsigned_abs() + dcol.unsigned_abs();
-                self.add_energy_total(u128::from(n) * u128::from(d));
-                self.messages += n;
-                let (out, acc) = batch::shard_map(items, |(t, dst), _, acc| {
-                    let (value, _, path) = t.into_parts();
-                    let p = path.step(d);
-                    acc.observe(p);
-                    Tracked::raw(value, dst, p)
-                });
-                self.absorb_watermarks(acc);
-                out
-            }
-            // Affinely strided displacements: the energy sum is an
-            // arithmetic series and the (at most one) zero-displacement
-            // index is solvable in O(1), so counters never touch the loop.
-            BatchPattern::Affine { drow, dcol, srow, scol } => {
-                self.add_energy_total(
-                    batch::sum_abs_affine(drow, srow, n) + batch::sum_abs_affine(dcol, scol, n),
-                );
-                self.messages += n - batch::affine_zero_count(drow, dcol, srow, scol, n);
-                let (out, acc) = batch::shard_map(items, |(t, dst), _, acc| {
-                    let (value, src, path) = t.into_parts();
-                    if src == dst {
-                        return Tracked::raw(value, src, path);
-                    }
-                    let p = path.step(src.manhattan(dst));
-                    acc.observe(p);
-                    Tracked::raw(value, dst, p)
-                });
-                self.absorb_watermarks(acc);
-                out
-            }
-            BatchPattern::Empty | BatchPattern::Irregular => {
-                let (out, acc) = batch::shard_map(items, |(t, dst), _, acc| {
-                    let (value, src, path) = t.into_parts();
-                    if src == dst {
-                        return Tracked::raw(value, src, path);
-                    }
-                    let d = src.manhattan(dst);
-                    acc.charge(d);
-                    let p = path.step(d);
-                    acc.observe(p);
-                    Tracked::raw(value, dst, p)
-                });
-                self.absorb_shard(acc);
-                out
-            }
-        }
+            let (value, src, path) = t.into_parts();
+            deliver(value, src, path, dst, acc)
+        });
+        self.absorb_shard(acc);
+        out
     }
 
     /// Sends a *copy* of each value to its destination, charging the same
@@ -495,10 +441,7 @@ impl Machine {
     /// nothing is skipped: a copy to the source's own PE still charges one
     /// zero-length message, exactly as `send` does).
     ///
-    /// Fast path and instrumentation behavior as in [`Machine::send_batch`]:
-    /// classified closed-form charging for uniform/affine batches, sharded
-    /// per-item construction for large ones. Since nothing is skipped here,
-    /// the message count is always exactly `items.len()`.
+    /// Fast path and instrumentation behavior as in [`Machine::send_batch`].
     pub fn send_batch_copy<T: Clone + Send + Sync>(
         &mut self,
         items: &[(&Tracked<T>, Coord)],
@@ -506,45 +449,11 @@ impl Machine {
         if !self.is_bare() {
             return items.iter().map(|&(t, dst)| self.send(t, dst)).collect();
         }
-        let n = items.len() as u64;
-        match batch::classify(items.iter().map(|&(t, dst)| (t.loc(), dst))) {
-            BatchPattern::Uniform { drow, dcol } => {
-                let d = drow.unsigned_abs() + dcol.unsigned_abs();
-                self.add_energy_total(u128::from(n) * u128::from(d));
-                self.messages += n;
-                let (out, acc) = batch::shard_map_ref(items, |&(t, dst), _, acc| {
-                    let p = t.path().step(d);
-                    acc.observe(p);
-                    Tracked::raw(t.value().clone(), dst, p)
-                });
-                self.absorb_watermarks(acc);
-                out
-            }
-            BatchPattern::Affine { drow, dcol, srow, scol } => {
-                self.add_energy_total(
-                    batch::sum_abs_affine(drow, srow, n) + batch::sum_abs_affine(dcol, scol, n),
-                );
-                self.messages += n;
-                let (out, acc) = batch::shard_map_ref(items, |&(t, dst), _, acc| {
-                    let p = t.path().step(t.loc().manhattan(dst));
-                    acc.observe(p);
-                    Tracked::raw(t.value().clone(), dst, p)
-                });
-                self.absorb_watermarks(acc);
-                out
-            }
-            BatchPattern::Empty | BatchPattern::Irregular => {
-                let (out, acc) = batch::shard_map_ref(items, |&(t, dst), _, acc| {
-                    let d = t.loc().manhattan(dst);
-                    acc.charge(d);
-                    let p = t.path().step(d);
-                    acc.observe(p);
-                    Tracked::raw(t.value().clone(), dst, p)
-                });
-                self.absorb_shard(acc);
-                out
-            }
-        }
+        let (out, acc) = batch::shard_map_ref(items, |&(t, dst), _, acc| {
+            deliver(t.value().clone(), t.loc(), t.path(), dst, acc)
+        });
+        self.absorb_shard(acc);
+        out
     }
 
     /// Gathers copies of `srcs` at `dst` and folds them pairwise in arrival
@@ -891,6 +800,18 @@ impl Machine {
     pub fn messages(&self) -> u64 {
         self.messages
     }
+}
+
+/// One delivery of a bare batch: charges `src.manhattan(dst)` through the
+/// shard accumulator, steps and observes the value's path, and lands the
+/// value at `dst` — what [`Machine::send`] charges for one message.
+#[inline]
+fn deliver<T>(value: T, src: Coord, path: Path, dst: Coord, acc: &mut ShardAcc) -> Tracked<T> {
+    let d = src.manhattan(dst);
+    acc.charge(d);
+    let p = path.step(d);
+    acc.observe(p);
+    Tracked::raw(value, dst, p)
 }
 
 #[cfg(test)]

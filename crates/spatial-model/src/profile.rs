@@ -14,11 +14,11 @@
 //! 1. **Profiles are pure accounting.** A [`ProfiledCost`] is computed from
 //!    the final [`Cost`] snapshot by [`CostProfile::charge`]; the profile is
 //!    *not* an instrument, does not affect [`crate::Machine::is_bare`], and
-//!    therefore leaves the closed-form batch kernels and the shard engine's
+//!    therefore leaves the closed-form level kernels and the shard engine's
 //!    fixed-order merge untouched. The hot path never sees a weight.
 //! 2. **Energy components are linear in the summed counters.** The pJ
 //!    components are integer-weighted sums of `energy` and `messages`, so
-//!    closed-form charging of a batch equals the sum of per-item charges,
+//!    a level kernel's closed-form charge equals the sum of per-item charges,
 //!    and the bare, instrumented and sharded execution paths — which already
 //!    agree on the raw counters bit-for-bit — agree on every profiled total
 //!    automatically. (The *delay* side is built from the `depth`/`distance`
@@ -443,12 +443,8 @@ mod tests {
 
     #[test]
     fn saturation_is_a_typed_error_not_a_wrap() {
-        let full = Cost {
-            energy: u64::MAX,
-            depth: u64::MAX,
-            distance: u64::MAX,
-            messages: u64::MAX,
-        };
+        let full =
+            Cost { energy: u64::MAX, depth: u64::MAX, distance: u64::MAX, messages: u64::MAX };
         // occupancy: weight × (energy + messages) > u128::MAX.
         let e = Extreme(ProfileWeights {
             pj_per_hop: 0,

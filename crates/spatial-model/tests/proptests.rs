@@ -4,7 +4,7 @@
 use spatial_core::check::{check, Gen};
 use spatial_core::{prop_assert, prop_assert_eq};
 
-use spatial_model::{zorder, Coord, Cost, Machine, Path};
+use spatial_model::{zorder, Coord, Cost, Machine, Path, Tracked};
 
 #[test]
 fn zorder_encode_decode_roundtrip() {
@@ -270,67 +270,70 @@ fn parallel_sends_do_not_inflate_depth() {
     });
 }
 
-#[test]
-fn uniform_batches_charge_like_the_per_item_loop() {
-    // The closed-form Uniform kernel must be indistinguishable, cost-wise,
-    // from moving every item one at a time (`move_to` skips self-sends,
-    // exactly as the batch API does).
-    check("uniform_batches_charge_like_the_per_item_loop", |g: &mut Gen| {
-        let n = g.size(1..200usize);
-        let drow = g.int(-40i64..=40);
-        let dcol = g.int(-40i64..=40);
-        let srcs: Vec<Coord> =
-            (0..n).map(|_| Coord::new(g.int(-2000i64..2000), g.int(-2000i64..2000))).collect();
-        let mut batched = Machine::new();
-        let items: Vec<_> = srcs.iter().enumerate().map(|(i, &c)| batched.place(c, i)).collect();
-        let sends: Vec<_> = items
-            .into_iter()
-            .zip(&srcs)
-            .map(|(t, &c)| (t, Coord::new(c.row + drow, c.col + dcol)))
-            .collect();
-        let _ = batched.send_batch(sends);
+/// Sends a copy of every `srcs[i]` (value `i`) to `dsts[i]`, then moves the
+/// original there: once through `send_batch_copy` and `send_batch`, once
+/// item by item through `send` and `move_to`. Requires equal costs and an
+/// equal `(value, loc, path)` for every output; returns the costs.
+fn batch_vs_loop(srcs: &[Coord], dsts: &[Coord]) -> Result<Cost, String> {
+    let mut batched = Machine::new();
+    let items: Vec<_> = srcs.iter().enumerate().map(|(i, &c)| batched.place(c, i)).collect();
+    let copies: Vec<_> = items.iter().zip(dsts).map(|(t, &d)| (t, d)).collect();
+    let batch_copied = batched.send_batch_copy(&copies);
+    let batch_moved = batched.send_batch(items.into_iter().zip(dsts.iter().copied()).collect());
 
-        let mut looped = Machine::new();
-        for (i, &c) in srcs.iter().enumerate() {
-            let t = looped.place(c, i);
-            let _ = looped.move_to(t, Coord::new(c.row + drow, c.col + dcol));
-        }
-        prop_assert_eq!(batched.report(), looped.report());
-        Ok(())
-    });
+    let mut looped = Machine::new();
+    let items: Vec<_> = srcs.iter().enumerate().map(|(i, &c)| looped.place(c, i)).collect();
+    let loop_copied: Vec<_> = items.iter().zip(dsts).map(|(t, &d)| looped.send(t, d)).collect();
+    let loop_moved: Vec<_> =
+        items.into_iter().zip(dsts).map(|(t, &d)| looped.move_to(t, d)).collect();
+
+    prop_assert_eq!(batched.report(), looped.report());
+    let parts = |ts: &[Tracked<usize>]| -> Vec<(usize, Coord, Path)> {
+        ts.iter().map(|t| (*t.value(), t.loc(), t.path())).collect()
+    };
+    prop_assert_eq!(parts(&batch_copied), parts(&loop_copied));
+    prop_assert_eq!(parts(&batch_moved), parts(&loop_moved));
+    Ok(batched.report())
 }
 
 #[test]
-fn affine_batches_charge_like_the_per_item_loop() {
-    // Same equivalence for strided displacements (and, via the copy API,
-    // for the charge-everything `send` semantics).
-    check("affine_batches_charge_like_the_per_item_loop", |g: &mut Gen| {
-        let n = g.size(1..150usize);
-        let (drow, dcol) = (g.int(-30i64..=30), g.int(-30i64..=30));
-        let (srow, scol) = (g.int(-5i64..=5), g.int(-5i64..=5));
-        let srcs: Vec<Coord> =
-            (0..n).map(|_| Coord::new(g.int(-2000i64..2000), g.int(-2000i64..2000))).collect();
-        let dst = |i: usize, c: Coord| {
-            Coord::new(c.row + drow + i as i64 * srow, c.col + dcol + i as i64 * scol)
-        };
-        let mut batched = Machine::new();
-        let items: Vec<_> = srcs.iter().enumerate().map(|(i, &c)| batched.place(c, i)).collect();
-        let sends: Vec<_> =
-            items.iter().enumerate().zip(&srcs).map(|((i, t), &c)| (t, dst(i, c))).collect();
-        let _ = batched.send_batch_copy(&sends);
-        drop(sends);
-        let moved: Vec<_> =
-            items.into_iter().enumerate().zip(&srcs).map(|((i, t), &c)| (t, dst(i, c))).collect();
-        let _ = batched.send_batch(moved);
+fn batches_match_the_per_item_loop() {
+    // Both batch APIs must be indistinguishable from sending every item on
+    // its own, whatever the displacement shape: a copy to its own PE charges
+    // a zero-length message, a move to its own PE is free.
+    //
+    // Five messages 2^62 hops long sum past u64::MAX: both sides clamp.
+    let srcs: Vec<Coord> = (0..5).map(|i| Coord::new(0, i)).collect();
+    let dsts: Vec<Coord> = srcs.iter().map(|s| Coord::new(1 << 62, s.col)).collect();
+    let cost = batch_vs_loop(&srcs, &dsts).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(cost.energy, u64::MAX);
 
-        let mut looped = Machine::new();
-        for (i, &c) in srcs.iter().enumerate() {
-            let t = looped.place(c, i);
-            let copy = looped.send(&t, dst(i, c));
-            looped.discard(copy);
-            let _ = looped.move_to(t, dst(i, c));
+    check("batches_match_the_per_item_loop", |g: &mut Gen| {
+        // 0: uniform, 1: affinely strided, 2: random with some self-sends,
+        // 3: all self-sends.
+        let shape = g.int(0u32..4);
+        let (drow, dcol) = (g.int(-40i64..=40), g.int(-40i64..=40));
+        let (srow, scol) = (g.int(-5i64..=5), g.int(-5i64..=5));
+        for n in [0, 1, 2, g.size(0..=200usize)] {
+            let srcs: Vec<Coord> =
+                (0..n).map(|_| Coord::new(g.int(-2000i64..2000), g.int(-2000i64..2000))).collect();
+            let dsts: Vec<Coord> = srcs
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| {
+                    let i = i as i64;
+                    match shape {
+                        0 => Coord::new(s.row + drow, s.col + dcol),
+                        1 => Coord::new(s.row + drow + i * srow, s.col + dcol + i * scol),
+                        2 if g.bool_p(0.75) => {
+                            Coord::new(s.row + g.int(-40i64..=40), s.col + g.int(-40i64..=40))
+                        }
+                        _ => s,
+                    }
+                })
+                .collect();
+            batch_vs_loop(&srcs, &dsts)?;
         }
-        prop_assert_eq!(batched.report(), looped.report());
         Ok(())
     });
 }

@@ -220,8 +220,9 @@ fn sharded_bare_path_is_thread_count_invariant() {
     // The sharded bare path must produce bit-identical Cost tuples at every
     // worker count: shards accumulate privately and merge in fixed order, so
     // SPATIAL_SIM_THREADS is pure throughput, never observable. Exercise a
-    // large Uniform-heavy run (scan over 4^9 cells) and a large Irregular
-    // batch (pseudo-random destinations), both past the sharding threshold
+    // scan over 4^9 cells, which runs as a level kernel and whose 2^18-item
+    // `place_z` placement crosses the sharding threshold, and a large
+    // Irregular batch (pseudo-random destinations) past the same threshold
     // (2^17 items — mid-sized batches stay serial by design).
     use spatial_dataflow::model::{set_sim_threads, zorder};
     let _guard = SIM_THREADS_LOCK.lock().unwrap();

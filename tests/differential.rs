@@ -204,7 +204,7 @@ fn differential_segmented_scan() {
 fn differential_profiled_charge_is_path_independent() {
     // A cost profile is a pure function of the final raw counters, so every
     // execution path that agrees on raw counters must agree on the profiled
-    // charge: bare machine (closed-form batch kernels eligible) vs fully
+    // charge: bare machine (closed-form level kernels eligible) vs fully
     // instrumented machine (trace forces the materializing per-item path).
     // Swept over seeds and all built-in profiles (or the single profile the
     // CI matrix pins via SPATIAL_PROFILE).

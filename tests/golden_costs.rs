@@ -213,7 +213,8 @@ const PROFILED_GOLDEN_PATH: &str =
 fn render_profiled(entries: &[(String, Cost)]) -> String {
     let profiles = spatial_dataflow::model::builtin_profiles();
     let total = profiles.len() * entries.len();
-    let mut s = String::from("{\n  \"format\": \"spatial-golden-profiled/v1\",\n  \"entries\": [\n");
+    let mut s =
+        String::from("{\n  \"format\": \"spatial-golden-profiled/v1\",\n  \"entries\": [\n");
     let mut k = 0;
     for profile in profiles {
         for (id, c) in entries {
