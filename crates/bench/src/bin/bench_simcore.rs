@@ -19,10 +19,13 @@
 //!   regression of more than 25%** — against the committed `serial` section
 //!   when the run is pinned to `SPATIAL_SIM_THREADS=1`, the `benchmarks`
 //!   section otherwise. An id with no reference entry fails the gate too.
-//!   A scaling gate then re-runs sort_z/65536 at 1 and 2 threads and fails
+//!   A scaling gate then runs sort_z/65536 at 1 and 2 threads and fails
 //!   if the threaded setting is slower than 95% of serial: mid-sized sorts
 //!   sit below the shard engine's amortization threshold, so a thread
-//!   setting above one must be free there.
+//!   setting above one must be free there. It and the profile gate
+//!   (wse-like vs bare) each sample five back-to-back pairs of the two
+//!   settings and gate on the median per-pair ratio, so host drift between
+//!   the settings cancels.
 //!
 //! Full runs additionally record a `serial` section (every id but the 2^20
 //! mergesort, re-measured with one shard) and a `scaling` section (the
@@ -124,8 +127,8 @@ struct ScalePoint {
 }
 
 /// Median messages/sec of `samples` fresh sort runs — a lean probe for the
-/// scaling gate, which compares two thread settings and cannot afford the
-/// full warmup-plus-five-samples protocol on a 2^16 sort.
+/// scaling curve and the two-setting gates, which cannot afford the full
+/// warmup-plus-five-samples protocol on a 2^16 sort.
 fn sort_rate(n: usize, samples: usize) -> u64 {
     let vals = pseudo(n, 2);
     let mut rates: Vec<u64> = (0..samples.max(1))
@@ -143,27 +146,51 @@ fn sort_rate(n: usize, samples: usize) -> u64 {
     rates[rates.len() / 2]
 }
 
-/// [`sort_rate`] on a machine carrying the wse-like cost profile, with the
-/// profiled report charged once at the end — the workload the profile gate
-/// compares against its bare twin.
-fn sort_rate_profiled(n: usize, samples: usize) -> u64 {
+/// Messages/sec of one [`sort_rate`] run on a machine carrying the wse-like
+/// cost profile, with the profiled report charged once at the end — the
+/// workload the profile gate compares against its bare twin.
+fn sort_rate_profiled(n: usize) -> u64 {
     use spatial_core::model::WseLike;
-    let vals = pseudo(n, 2);
-    let mut rates: Vec<u64> = (0..samples.max(1))
-        .map(|_| {
-            let mut m = Machine::with_profile(&WseLike);
-            let items = place_z(&mut m, 0, vals.clone());
-            let t = Instant::now();
-            let out = sort_z(&mut m, 0, items);
-            let profiled = m.profiled_report().expect("built-in profiles cannot saturate");
-            let ns = t.elapsed().as_nanos();
-            std::hint::black_box(out);
-            std::hint::black_box(profiled);
-            ((m.messages() as f64) / (ns as f64 / 1e9)) as u64
-        })
-        .collect();
-    rates.sort_unstable();
-    rates[rates.len() / 2]
+    let mut m = Machine::with_profile(&WseLike);
+    let items = place_z(&mut m, 0, pseudo(n, 2));
+    let t = Instant::now();
+    let out = sort_z(&mut m, 0, items);
+    let profiled = m.profiled_report().expect("built-in profiles cannot saturate");
+    let ns = t.elapsed().as_nanos();
+    std::hint::black_box(out);
+    std::hint::black_box(profiled);
+    ((m.messages() as f64) / (ns as f64 / 1e9)) as u64
+}
+
+/// Runs `base` and `test` (each returning a msgs/sec rate) as `pairs`
+/// back-to-back pairs, alternating which setting goes first, and returns
+/// the median per-pair ratio `test / base` with each side's median rate.
+/// A pair runs within seconds, so the host's speed drift between the two
+/// settings cancels in its ratio; five runs of one setting followed by five
+/// of the other would measure that drift instead.
+fn paired_ratio(
+    pairs: usize,
+    mut base: impl FnMut() -> u64,
+    mut test: impl FnMut() -> u64,
+) -> (f64, u64, u64) {
+    let (mut ratios, mut bases, mut tests) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..pairs {
+        let (b, t) = if i % 2 == 0 {
+            let b = base();
+            (b, test())
+        } else {
+            let t = test();
+            (base(), t)
+        };
+        ratios.push(t as f64 / b as f64);
+        bases.push(b);
+        tests.push(t);
+    }
+    ratios.sort_by(f64::total_cmp);
+    bases.sort_unstable();
+    tests.sort_unstable();
+    let mid = ratios.len() / 2;
+    (ratios[mid], bases[mid], tests[mid])
 }
 
 fn rows(results: &[Throughput]) -> String {
@@ -426,17 +453,26 @@ fn main() {
         // serial speed at any thread count — this pins the regression where
         // sharded 2^16 bitonic stages lost ~20% (955 -> 751 M msgs/s).
         if want("sort_z/65536") {
-            println!("-- scaling gate (sort_z/65536, threads 2 vs 1) --");
-            set_sim_threads(1);
-            let serial = sort_rate(65536, 5);
-            set_sim_threads(2);
-            let sharded = sort_rate(65536, 5);
+            println!("-- scaling gate (sort_z/65536, threads 2 vs 1, 5 pairs) --");
+            let (ratio, serial, sharded) = paired_ratio(
+                5,
+                || {
+                    set_sim_threads(1);
+                    sort_rate(65536, 1)
+                },
+                || {
+                    set_sim_threads(2);
+                    sort_rate(65536, 1)
+                },
+            );
             set_sim_threads(0);
-            println!("  serial {serial} msgs/s   threads=2 {sharded} msgs/s");
-            if (sharded as f64) < 0.95 * serial as f64 {
+            println!(
+                "  serial {serial} msgs/s   threads=2 {sharded} msgs/s   median pair ratio {ratio:.3}"
+            );
+            if ratio < 0.95 {
                 eprintln!(
-                    "scaling regression: threads=2 ran sort_z/65536 at {sharded} msgs/s, \
-                     under 95% of the serial {serial} msgs/s"
+                    "scaling regression: threads=2 ran sort_z/65536 at a median {ratio:.3}x \
+                     of serial per pair, under 0.95"
                 );
                 std::process::exit(1);
             }
@@ -448,16 +484,18 @@ fn main() {
         // this gate fails if anyone ever wires profiles into the per-message
         // path (which would also disable the closed-form level kernels).
         if want("sort_z/65536") {
-            println!("-- profile gate (sort_z/65536, wse-like vs bare) --");
+            println!("-- profile gate (sort_z/65536, wse-like vs bare, 5 pairs) --");
             set_sim_threads(1);
-            let bare = sort_rate(65536, 5);
-            let profiled = sort_rate_profiled(65536, 5);
+            let (ratio, bare, profiled) =
+                paired_ratio(5, || sort_rate(65536, 1), || sort_rate_profiled(65536));
             set_sim_threads(0);
-            println!("  bare {bare} msgs/s   wse-like {profiled} msgs/s");
-            if (profiled as f64) < 0.95 * bare as f64 {
+            println!(
+                "  bare {bare} msgs/s   wse-like {profiled} msgs/s   median pair ratio {ratio:.3}"
+            );
+            if ratio < 0.95 {
                 eprintln!(
-                    "profile overhead: wse-like ran sort_z/65536 at {profiled} msgs/s, \
-                     under 95% of the bare {bare} msgs/s — profiles must stay off the hot path"
+                    "profile overhead: wse-like ran sort_z/65536 at a median {ratio:.3}x of \
+                     bare per pair, under 0.95 — profiles must stay off the hot path"
                 );
                 std::process::exit(1);
             }

@@ -50,8 +50,7 @@ fn main() {
 
         let mut ms = Machine::new();
         let (ai, bi) = setup(&mut ms, half);
-        let single: Vec<_> =
-            ks.iter().map(|&k| rank_split(&mut ms, &ai, 0, &bi, half as u64, k)).collect();
+        let single = ks.map(|k| rank_split(&mut ms, &ai, 0, &bi, half as u64, k));
 
         assert_eq!(multi, single, "same answers");
         println!(

@@ -595,4 +595,19 @@ mod tests {
             assert_eq!(got, reference_kth(&vals, 700));
         }
     }
+
+    #[test]
+    fn select_rank_memory_stays_constant_per_pe() {
+        // The sample sort, the pivot broadcasts and counting reductions, and
+        // the 2D mergesort of the survivors keep O(1) words per PE. Must not
+        // grow with n.
+        for n in [16usize, 64, 256, 1024] {
+            let mut m = Machine::new();
+            m.enable_memory_meter();
+            let items = collectives::zarray::place_z(&mut m, 0, pseudo(n, 13));
+            let _ = select_rank(&mut m, 0, items, (n / 2) as u64, 7);
+            let peak = m.memory().unwrap().peak();
+            assert!(peak <= 4, "n = {n}: peak {peak}");
+        }
+    }
 }

@@ -90,8 +90,10 @@ fn allpairs_rank_inner<P: Ord + Clone + Send + Sync>(
     // materializing the O(m·bm) intermediate copies. Any armed instrument
     // takes the materializing path below and observes the per-item stream.
     if !force_replay && machine.is_bare() && m > 1 {
+        // The stable sort merges presorted runs in linear time, and every
+        // sample and window the rank splits send here is two sorted runs.
         let mut order: Vec<usize> = (0..m as usize).collect();
-        order.sort_unstable_by(|&x, &y| staged[x].value().cmp(staged[y].value()));
+        order.sort_by(|&x, &y| staged[x].value().cmp(staged[y].value()));
         for w in order.windows(2) {
             assert!(
                 staged[w[0]].value() != staged[w[1]].value(),
@@ -457,8 +459,8 @@ mod tests {
         // The closed-form charge must be bit-identical to the per-item
         // level-order phases: same Cost report, same output values, ranks,
         // locations and critical paths — for every size class (power of
-        // four, just above, just below, tiny).
-        for n in [2usize, 3, 4, 5, 7, 13, 16, 17, 29, 40, 64, 65] {
+        // four, just above, just below, tiny), up to bm = 1024 blocks.
+        for n in [2usize, 3, 4, 5, 7, 13, 16, 17, 29, 40, 64, 65, 255, 256, 257] {
             let vals: Vec<i64> = (0..n as i64).map(|i| (i * 131) % 257 - 60).collect();
             let run = |force: bool| {
                 let mut m = Machine::new();

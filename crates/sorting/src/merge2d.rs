@@ -15,12 +15,23 @@
 //! paper's bound. Depth is `O(log² m)` (a rank split per level), distance
 //! `O(√m)`.
 
+use std::sync::OnceLock;
+
+use sortnet::Network;
 use spatial_model::{zorder, Machine, Tracked};
 
 use crate::rank2::multi_rank_split;
 
-/// Below this size a merge finishes with a constant-cost sorting network.
-const BASE: usize = 16;
+/// Below this size a merge (and a mergesort) finishes with a constant-cost
+/// sorting network.
+pub(crate) const BASE: usize = 16;
+
+/// The odd-even transposition network of width `n ≤ BASE`, built once per
+/// process and shared by the merge's and the mergesort's base cases.
+pub(crate) fn base_network(n: usize) -> &'static Network {
+    static NETS: OnceLock<Vec<Network>> = OnceLock::new();
+    &NETS.get_or_init(|| (0..=BASE).map(sortnet::odd_even_transposition).collect())[n]
+}
 
 /// Merges sorted `a` (on `[lo, lo+|A|)`) and sorted `b` (on the adjacent
 /// segment `[lo+|A|, lo+|A|+|B|)`) into a sorted array on the union segment.
@@ -59,7 +70,7 @@ pub fn merge_adjacent<P: Ord + Clone + Send + Sync>(
     // this as the multiselection problem [53]).
     let mut ca = [0u64; 5];
     let mut cb = [0u64; 5];
-    let splits = multi_rank_split(machine, &a, lo, &b, b_lo, &ks[1..4]);
+    let splits = multi_rank_split(machine, &a, lo, &b, b_lo, &[ks[1], ks[2], ks[3]]);
     for (i, s) in splits.into_iter().enumerate() {
         ca[i + 1] = s.ca;
         cb[i + 1] = s.cb;
@@ -123,8 +134,7 @@ fn base_merge<P: Ord + Clone + Send + Sync>(
     for (i, it) in items.iter().enumerate() {
         debug_assert_eq!(it.loc(), zorder::coord_of(lo + i as u64));
     }
-    let net = sortnet::odd_even_transposition(items.len());
-    sortnet::run_on_coords(machine, &net, items)
+    sortnet::run_on_coords(machine, base_network(items.len()), items)
 }
 
 #[cfg(test)]

@@ -15,10 +15,7 @@ use spatial_model::{zorder, Machine, SpatialError, SubGrid, Tracked};
 use collectives::route::{route, row_major_to_z};
 
 use crate::keyed::{attach_uids, Keyed};
-use crate::merge2d::merge_adjacent;
-
-/// Below this size the sort finishes with a constant-cost sorting network.
-const BASE: usize = 16;
+use crate::merge2d::{base_network, merge_adjacent, BASE};
 
 /// Sorts `items` (element `i` resident at Z-index `lo + i`) ascending along
 /// the Z-curve. Stable; `lo` must be aligned to the padded length.
@@ -130,8 +127,7 @@ fn sort_pow4<T: Ord + Clone + Send + Sync>(
     let n = items.len();
     debug_assert!(zorder::is_power_of_four(n as u64));
     if n <= BASE {
-        let net = sortnet::odd_even_transposition(n);
-        return sortnet::run_on_coords(machine, &net, items);
+        return sortnet::run_on_coords(machine, base_network(n), items);
     }
     let q = n / 4;
     let mut quadrants: Vec<Vec<Tracked<Pad<T>>>> = Vec::with_capacity(4);
@@ -289,6 +285,21 @@ mod tests {
         for (i, t) in out.iter().enumerate() {
             assert_eq!(t.loc(), grid.rm_coord(i as u64), "row-major output cell");
             assert_eq!(*t.value(), expect[i]);
+        }
+    }
+
+    #[test]
+    fn sort_z_memory_stays_constant_per_pe() {
+        // Theorem V.8 needs O(1) words per PE: the rank splits' sample and
+        // window squares, the bundled pivot broadcast and the quarter routing
+        // each leave a bounded number of words on any PE. Must not grow with n.
+        for n in [16usize, 64, 256, 1024] {
+            let mut m = Machine::new();
+            m.enable_memory_meter();
+            let items = place_z(&mut m, 0, pseudo(n, 29));
+            let _ = sort_z(&mut m, 0, items);
+            let peak = m.memory().unwrap().peak();
+            assert!(peak <= 4, "n = {n}: peak {peak}");
         }
     }
 }

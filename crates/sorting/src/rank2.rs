@@ -52,36 +52,36 @@ pub struct Split {
 /// quartile queries. One sample is gathered and all-pairs-ranked once; all
 /// pivots ship in a single broadcast; only the `O(√n)`-sized windows are
 /// ranked per k. Costs match a single [`rank_split`] up to constants:
-/// `O(|ks|·n^{5/4})` energy, `O(log n)` depth, `O(√n)` distance.
-pub fn multi_rank_split<P: Ord + Clone + Send + Sync>(
+/// `O(K·n^{5/4})` energy, `O(log n)` depth, `O(√n)` distance.
+///
+/// The number of ranks `K` is fixed at compile time, so the pivot bundle
+/// and every per-element indicator are plain arrays.
+pub fn multi_rank_split<P: Ord + Clone + Send + Sync, const K: usize>(
     machine: &mut Machine,
     a: &[Tracked<P>],
     a_lo: u64,
     b: &[Tracked<P>],
     b_lo: u64,
-    ks: &[u64],
-) -> Vec<Split> {
+    ks: &[u64; K],
+) -> [Split; K] {
     let (na, nb) = (a.len() as u64, b.len() as u64);
     let n = na + nb;
-    if ks.is_empty() {
-        return Vec::new();
-    }
     for &k in ks {
         assert!(k >= 1 && k <= n, "rank {k} out of range 1..={n}");
     }
     if na == 0 {
-        return ks.iter().map(|&k| Split { ca: 0, cb: k }).collect();
+        return ks.map(|k| Split { ca: 0, cb: k });
     }
     if nb == 0 {
-        return ks.iter().map(|&k| Split { ca: k, cb: 0 }).collect();
+        return ks.map(|k| Split { ca: k, cb: 0 });
     }
 
     let stride = isqrt(n).max(1);
     let win = 3 * stride + 4;
 
     // Which ranks need the sampling phase at all?
-    let needs_pivot: Vec<bool> = ks.iter().map(|&k| (k - 1) / stride != 0 && n > win).collect();
-    let exclusions: Vec<(u64, u64)> = if needs_pivot.iter().any(|&b| b) {
+    let needs_pivot: [bool; K] = ks.map(|k| (k - 1) / stride != 0 && n > win);
+    let exclusions: [(u64, u64); K] = if needs_pivot.contains(&true) {
         // Shared phase: sample once, rank once.
         let mut sample: Vec<Tracked<(P, u8)>> = Vec::new();
         let mut i = 0;
@@ -101,13 +101,11 @@ pub fn multi_rank_split<P: Ord + Clone + Send + Sync>(
 
         // Pick every needed pivot from the one ranked sample and count all
         // predecessors with a single bundled broadcast + reduce.
-        let mut pivots: Vec<Option<Tracked<P>>> = Vec::with_capacity(ks.len());
-        for (j, &k) in ks.iter().enumerate() {
+        let pivots: [Option<Tracked<P>>; K] = std::array::from_fn(|j| {
             if !needs_pivot[j] {
-                pivots.push(None);
-                continue;
+                return None;
             }
-            let l = (k - 1) / stride;
+            let l = (ks[j] - 1) / stride;
             let idx = (l - 1).min(s_len - 1);
             let pivot = ranked
                 .iter()
@@ -115,8 +113,8 @@ pub fn multi_rank_split<P: Ord + Clone + Send + Sync>(
                 .expect("ranks form a permutation")
                 .duplicate()
                 .map(|(p, _)| p.0);
-            pivots.push(Some(pivot));
-        }
+            Some(pivot)
+        });
         for t in ranked {
             machine.discard(t);
         }
@@ -126,17 +124,14 @@ pub fn multi_rank_split<P: Ord + Clone + Send + Sync>(
         }
         counts
     } else {
-        vec![(0, 0); ks.len()]
+        [(0, 0); K]
     };
 
     // Per-rank window phase (windows are disjoint across the quartiles).
-    ks.iter()
-        .enumerate()
-        .map(|(j, &k)| {
-            let (ea, eb) = if needs_pivot[j] { exclusions[j] } else { (0, 0) };
-            window_phase(machine, a, a_lo, b, k, ea, eb, win)
-        })
-        .collect()
+    std::array::from_fn(|j| {
+        let (ea, eb) = exclusions[j];
+        window_phase(machine, a, a_lo, b, ks[j], ea, eb, win)
+    })
 }
 
 /// Computes the rank-`k` split of two sorted arrays (`k` 1-based,
@@ -268,69 +263,53 @@ fn window_phase<P: Ord + Clone + Send + Sync>(
 
 /// Counts, for every present pivot, the `≤`-predecessors in both arrays with
 /// a **single** bundled broadcast and reduce (the pivots travel together as
-/// one constant-size message payload).
-#[allow(clippy::type_complexity)]
-fn count_leq_multi<P: Ord + Clone + Send + Sync>(
+/// one constant-size message payload). Absent pivots count `(0, 0)`.
+fn count_leq_multi<P: Ord + Clone + Send + Sync, const K: usize>(
     machine: &mut Machine,
     a: &[Tracked<P>],
     a_lo: u64,
     b: &[Tracked<P>],
     b_lo: u64,
-    pivots: &[Option<Tracked<P>>],
-) -> Vec<(u64, u64)> {
+    pivots: &[Option<Tracked<P>>; K],
+) -> [(u64, u64); K] {
     // Gather the pivot values (they sit on different block corners of the
-    // ranked sample square) at one hub PE and bundle them into a single
-    // constant-size message payload.
-    let hub = pivots.iter().flatten().next().expect("at least one pivot").loc();
-    let mut bundle: Tracked<Vec<Option<P>>> = pivots
-        .iter()
-        .flatten()
-        .next()
-        .expect("at least one pivot")
-        .with_value(Vec::with_capacity(pivots.len()));
-    for p in pivots {
-        bundle = match p {
-            Some(t) => {
-                let moved = if t.loc() == hub { t.duplicate() } else { machine.send(t, hub) };
-                let next = bundle.zip_with(&moved, |v, pv| {
-                    let mut v = v.clone();
-                    v.push(Some(pv.clone()));
-                    v
-                });
-                machine.discard(moved);
-                next
-            }
-            None => bundle.map(|mut v| {
-                v.push(None);
-                v
-            }),
-        };
+    // ranked sample square) at the first pivot's PE and bundle them into a
+    // single constant-size message payload, whose path joins every pivot's.
+    let first = pivots.iter().flatten().next().expect("at least one pivot");
+    let hub = first.loc();
+    let mut carrier = first.with_value(());
+    let mut vals: [Option<P>; K] = std::array::from_fn(|_| None);
+    for (slot, p) in vals.iter_mut().zip(pivots) {
+        let Some(t) = p else { continue };
+        let moved = if t.loc() == hub { t.duplicate() } else { machine.send(t, hub) };
+        carrier = carrier.zip_with(&moved, |(), _| ());
+        *slot = Some(moved.value().clone());
+        machine.discard(moved);
     }
-    let mut counts = vec![(0u64, 0u64); pivots.len()];
+    let bundle = carrier.map(|()| vals);
+    let mut counts = [(0u64, 0u64); K];
     for (arr, lo, pick_a) in [(a, a_lo, true), (b, b_lo, false)] {
         let hi = lo + arr.len() as u64;
         let copies = broadcast_z(machine, bundle.duplicate(), lo, hi);
-        let indicators: Vec<Tracked<Vec<u64>>> = arr
+        let indicators: Vec<Tracked<[u64; K]>> = arr
             .iter()
             .zip(copies)
             .map(|(el, pv)| {
                 let ind = el.zip_with(&pv, |e, ps| {
-                    ps.iter()
-                        .map(|p| u64::from(p.as_ref().is_some_and(|p| e <= p)))
-                        .collect::<Vec<u64>>()
+                    ps.each_ref().map(|p| u64::from(p.as_ref().is_some_and(|p| e <= p)))
                 });
                 machine.discard(pv);
                 ind
             })
             .collect();
-        let total = reduce_z(machine, indicators, lo, &|x: &Vec<u64>, y: &Vec<u64>| {
-            x.iter().zip(y).map(|(a, b)| a + b).collect()
+        let total = reduce_z(machine, indicators, lo, &|x: &[u64; K], y: &[u64; K]| {
+            std::array::from_fn(|j| x[j] + y[j])
         });
-        for (j, c) in total.value().iter().enumerate() {
+        for (c, t) in counts.iter_mut().zip(total.value()) {
             if pick_a {
-                counts[j].0 = *c;
+                c.0 = *t;
             } else {
-                counts[j].1 = *c;
+                c.1 = *t;
             }
         }
         machine.discard(total);
@@ -512,8 +491,7 @@ mod tests {
 
         let mut m2 = Machine::new();
         let (ai, alo, bi, blo) = setup(&mut m2, &a, &b, 0);
-        let single: Vec<Split> =
-            ks.iter().map(|&k| rank_split(&mut m2, &ai, alo, &bi, blo, k)).collect();
+        let single = ks.map(|k| rank_split(&mut m2, &ai, alo, &bi, blo, k));
 
         assert_eq!(multi, single);
         assert!(

@@ -11,8 +11,10 @@
 //! the message count, and every output's critical [`Path`] satisfy closed
 //! forms over digit decompositions. [`Machine::allpairs_square_finish`]
 //! charges exactly what the open-coded level-order phases in
-//! `sorting::allpairs` charge, in `O(bm·log bm)` work instead of `O(m·bm)`
-//! materialized deliveries.
+//! `sorting::allpairs` charge, in `O(m)` work instead of `O(m·bm)`
+//! materialized deliveries: the broadcast and reduce trees cover whole
+//! blocks, whose digit sums are closed forms, and the replication tree and
+//! the staged paths need one O(1) digit identity per hosting offset.
 //!
 //! Why the closed forms are exact (and not just asymptotic):
 //!
@@ -74,28 +76,33 @@ fn dist1(z: u64) -> u64 {
 /// (messages on the quadtree route from 0 to `o`), `route` = total Manhattan
 /// distance of that route, `edge` = distance of the final edge (the least
 /// significant nonzero digit), 0 for `o == 0`.
+///
+/// Each is O(1): a digit is nonzero when either of its two bits is set, so
+/// `nz` counts the even bit positions of `o | o >> 1`; `decode` is additive
+/// over disjoint bits, so the route's per-digit edges sum to `dist1(o)`;
+/// and the final edge is `dist1` of the lowest nonzero digit alone.
 #[inline]
 fn digit_stats(o: u64) -> (u64, u64, u64) {
-    let mut nz = 0u64;
-    let mut route = 0u64;
-    let mut x = o;
-    let mut pos = 0u32;
-    while x > 0 {
-        let d = x & 3;
-        if d != 0 {
-            nz += 1;
-            route += dist1(d << pos);
-        }
-        x >>= 2;
-        pos += 2;
-    }
-    let edge = if o == 0 {
-        0
-    } else {
-        let tz = o.trailing_zeros() & !1;
-        dist1(o & (3 << tz))
-    };
-    (nz, route, edge)
+    let nz = u64::from(((o | (o >> 1)) & 0x5555_5555_5555_5555).count_ones());
+    let edge = if o == 0 { 0 } else { dist1(o & (3 << (o.trailing_zeros() & !1))) };
+    (nz, dist1(o), edge)
+}
+
+/// `Σ_{o=1}^{bm−1} edge(o)` over a block of `bm = scale²` cells. The offsets
+/// whose lowest nonzero digit has weight `4^k` and value `d` number
+/// `4^{L−1−k}` (any higher digits), and `dist1(d·4^k) = 2^k·dist1(d)` with
+/// `dist1(1) + dist1(2) + dist1(3) = 4`, so the sum is
+/// `Σ_{k<L} 4^{L−1−k}·2^k·4 = Σ_{k<L} 2^{2L−k} = 2·scale·(scale − 1)`.
+#[inline]
+fn block_edge_sum(scale: u64) -> u128 {
+    2 * u128::from(scale) * u128::from(scale - 1)
+}
+
+/// `max_{o<bm} route(o)` over a block of `bm = scale²` cells: the route is
+/// `dist1(o)`, largest at the block's far corner `(scale − 1, scale − 1)`.
+#[inline]
+fn block_max_route(scale: u64) -> u64 {
+    2 * (scale - 1)
 }
 
 /// Manhattan distance between the cells at Z offsets `a` and `b` of one
@@ -436,29 +443,19 @@ impl Machine {
         assert!(m <= bm, "more elements than blocks");
         let scale = 1u64 << lvls; // decode(x·bm) = decode(x)·2^lvls per axis
 
-        // One pass over the offsets accumulates every digit statistic the
-        // three phases need.
-        let mut sum_edge_in: u128 = 0; // Σ_{o=1}^{bm-1} edge(o)   (broadcast = reduce)
+        // The broadcast and reduce trees span whole blocks, so their sums are
+        // closed forms; the replication tree and the staged paths span only
+        // the m hosting offsets, one O(1) digit identity each.
+        let sum_edge_in = block_edge_sum(scale); // Σ_{o=1}^{bm-1} edge(o)   (broadcast = reduce)
+        let max_route = block_max_route(scale); // max_o route(o)
         let mut sum_edge_blk: u128 = 0; // Σ_{b=1}^{m-1} edge(b)    (replication, unscaled)
-        let mut max_route = 0u64; // max_o route(o)
         let mut mp_depth = 0u64; // max_{o<m} staged[o].depth + nz(o)
         let mut mp_dist = 0u64; // max_{o<m} staged[o].distance + route(o)
-        let mut blk: Vec<(u64, u64)> = Vec::with_capacity(m as usize); // (nz, route) per block
-        for o in 0..bm {
-            let (nz, route, edge) = digit_stats(o);
-            if o > 0 {
-                sum_edge_in += u128::from(edge);
-            }
-            max_route = max_route.max(route);
-            if o < m {
-                let p = staged[o as usize];
-                mp_depth = mp_depth.max(p.depth + nz);
-                mp_dist = mp_dist.max(p.distance + route);
-                if o > 0 {
-                    sum_edge_blk += u128::from(edge);
-                }
-                blk.push((nz, route));
-            }
+        for (o, p) in staged.iter().enumerate() {
+            let (nz, route, edge) = digit_stats(o as u64);
+            sum_edge_blk += u128::from(edge);
+            mp_depth = mp_depth.max(p.depth + nz);
+            mp_dist = mp_dist.max(p.distance + route);
         }
 
         // Phase A (replicate into blocks): every block b ≥ 1 receives the
@@ -481,7 +478,7 @@ impl Machine {
             .zip(ranks)
             .enumerate()
             .map(|(i, (corner, &rank))| {
-                let (nz_i, route_i) = blk[i];
+                let (nz_i, route_i, _) = digit_stats(i as u64);
                 let c = corner.path();
                 let r = Path {
                     depth: (nz_i + mp_depth).max(c.depth + 2 * lvls),
@@ -502,24 +499,43 @@ impl Machine {
 mod tests {
     use super::*;
 
-    #[test]
-    fn digit_stats_match_naive_routes() {
-        for o in 0u64..256 {
-            let mut nz = 0;
-            let mut route = 0;
-            let mut last_edge = 0;
-            for pos in 0..4 {
-                let d = (o >> (2 * pos)) & 3;
-                if d != 0 {
-                    nz += 1;
-                    let e = dist1(d << (2 * pos));
-                    route += e;
-                    if last_edge == 0 {
-                        last_edge = e; // least significant nonzero digit
-                    }
+    /// The per-digit route from offset 0 to `o`, edge by edge: `(nz, route,
+    /// edge)` as the level-order phases send it.
+    fn naive_digit_stats(o: u64) -> (u64, u64, u64) {
+        let (mut nz, mut route, mut last_edge) = (0, 0, 0);
+        for pos in 0..32 {
+            let d = (o >> (2 * pos)) & 3;
+            if d != 0 {
+                nz += 1;
+                let e = dist1(d << (2 * pos));
+                route += e;
+                if last_edge == 0 {
+                    last_edge = e; // least significant nonzero digit
                 }
             }
-            assert_eq!(digit_stats(o), (nz, route, last_edge), "o = {o}");
+        }
+        (nz, route, last_edge)
+    }
+
+    #[test]
+    fn digit_stats_match_naive_routes() {
+        for o in 0u64..1 << 12 {
+            assert_eq!(digit_stats(o), naive_digit_stats(o), "o = {o}");
+        }
+    }
+
+    #[test]
+    fn block_sums_match_the_naive_loop() {
+        for lvls in 1..=6u64 {
+            let (bm, scale) = (1u64 << (2 * lvls), 1u64 << lvls);
+            let edges: u128 = (1..bm).map(|o| u128::from(naive_digit_stats(o).2)).sum();
+            let per_level: u128 =
+                (0..lvls).map(|k| (1u128 << (2 * (lvls - 1 - k))) * (1u128 << k) * 4).sum();
+            assert_eq!(block_edge_sum(scale), edges, "L = {lvls}");
+            assert_eq!(per_level, edges, "L = {lvls}");
+            let max_route = (0..bm).map(|o| naive_digit_stats(o).1).max().unwrap();
+            assert_eq!(block_max_route(scale), max_route, "L = {lvls}");
+            assert_eq!(max_route, 2 * ((1 << lvls) - 1), "L = {lvls}");
         }
     }
 

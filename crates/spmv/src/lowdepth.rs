@@ -640,4 +640,21 @@ mod tests {
         let bound = 120 * (a.nnz() as f64).sqrt() as u64;
         assert!(out.cost.distance <= bound, "distance {} > {bound}", out.cost.distance);
     }
+
+    #[test]
+    fn spmv_memory_stays_constant_per_pe() {
+        // The two sorts, the segmented broadcast and scan, and the routing
+        // of §VIII keep O(1) words per PE. Must not grow with the number of
+        // non-zeros n.
+        for n in [16usize, 64, 256, 1024] {
+            let a = pseudo_matrix(n / 4, 4, 3);
+            let x: Vec<i64> = (0..(n / 4) as i64).collect();
+            let mut m = Machine::new();
+            m.enable_memory_meter();
+            let out = spmv(&mut m, &a, &x);
+            assert_eq!(out.y, a.multiply_dense(&x));
+            let peak = m.memory().unwrap().peak();
+            assert!(peak <= 4, "n = {n}: peak {peak}");
+        }
+    }
 }

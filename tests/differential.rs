@@ -8,7 +8,8 @@ use spatial_dataflow::collectives::{broadcast_z, place_row_major, reduce_z, scan
 use spatial_dataflow::model::zorder;
 use spatial_dataflow::prelude::*;
 use spatial_dataflow::rng::Rng;
-use spatial_dataflow::sorting::{merge_adjacent, shearsort_snake, Keyed};
+use spatial_dataflow::sorting::rank2::Split;
+use spatial_dataflow::sorting::{merge_adjacent, multi_rank_split, shearsort_snake, Keyed};
 use spatial_dataflow::{prop_assert, prop_assert_eq};
 
 /// At least 25 seeds per primitive regardless of `SPATIAL_CHECK_CASES`.
@@ -138,6 +139,85 @@ fn differential_merge2d() {
         let got: Vec<i64> = out.iter().map(|t| t.value().key).collect();
         prop_assert_eq!(got, expect);
         Ok(())
+    });
+}
+
+/// Places sorted `a` and `b` as `Keyed` values (A's uids first) on adjacent
+/// Z-segments from `lo` and splits them at every rank of `ks`.
+fn rank_splits<const K: usize>(
+    m: &mut Machine,
+    a: &[i64],
+    b: &[i64],
+    lo: u64,
+    ks: &[u64; K],
+) -> [Split; K] {
+    let uid0 = a.len() as u64;
+    let ka: Vec<Keyed<i64>> = a.iter().enumerate().map(|(i, &v)| Keyed::new(v, i as u64)).collect();
+    let kb: Vec<Keyed<i64>> =
+        b.iter().enumerate().map(|(i, &v)| Keyed::new(v, uid0 + i as u64)).collect();
+    let ia = place_z(m, lo, ka);
+    let ib = place_z(m, lo + uid0, kb);
+    multi_rank_split(m, &ia, lo, &ib, lo + uid0, ks)
+}
+
+/// Host reference: how the `k` smallest `(value, uid)` pairs split.
+fn reference_splits<const K: usize>(a: &[i64], b: &[i64], ks: &[u64; K]) -> [Split; K] {
+    let na = a.len() as u64;
+    let mut all: Vec<(i64, u64)> = a.iter().enumerate().map(|(i, &v)| (v, i as u64)).collect();
+    all.extend(b.iter().enumerate().map(|(i, &v)| (v, na + i as u64)));
+    all.sort_unstable();
+    ks.map(|k| {
+        let ca = all[..k as usize].iter().filter(|&&(_, uid)| uid < na).count() as u64;
+        Split { ca, cb: k - ca }
+    })
+}
+
+/// Splits on a bare machine (closed-form kernels) and a trace-armed one
+/// (per-item replay): both must agree with the host reference and charge
+/// the same cost.
+fn check_rank_splits<const K: usize>(
+    a: &[i64],
+    b: &[i64],
+    lo: u64,
+    ks: &[u64; K],
+) -> Result<(), String> {
+    let mut bare = Machine::new();
+    let got = rank_splits(&mut bare, a, b, lo, ks);
+    let mut traced = Machine::new();
+    traced.enable_trace(0);
+    let replayed = rank_splits(&mut traced, a, b, lo, ks);
+    let at = format!("|A|={} |B|={} lo={lo} ks={ks:?}", a.len(), b.len());
+    prop_assert_eq!(got, reference_splits(a, b, ks), "{at}");
+    prop_assert_eq!(replayed, got, "{at}: traced splits");
+    prop_assert_eq!(traced.report(), bare.report(), "{at}: cost");
+    Ok(())
+}
+
+#[test]
+fn differential_multi_rank_split() {
+    check_cfg(&cfg(), "differential_multi_rank_split", |g: &mut Gen| {
+        // Sorted runs with duplicate values (`Keyed` makes the elements
+        // distinct). A quarter of the cases empty one side and a quarter keep
+        // n within one window, so no pivot is drawn.
+        let (na, nb) = match g.int(0u32..4) {
+            0 if g.bool_p(0.5) => (0, g.size(1..=300)),
+            0 => (g.size(1..=300), 0),
+            1 => (g.size(0..=6), g.size(1..=6)),
+            _ => (g.size(0..=300), g.size(0..=300)),
+        };
+        let mut a = g.vec(na, |g| g.int(-500i64..=500));
+        let mut b = g.vec(nb, |g| g.int(-500i64..=500));
+        a.sort_unstable();
+        b.sort_unstable();
+        let n = (na + nb) as u64;
+        if n == 0 {
+            return Ok(());
+        }
+        let lo = 4 * g.int(0u64..64);
+        let quartiles = [n / 4, n / 2, 3 * n / 4].map(|k| k.max(1));
+        check_rank_splits(&a, &b, lo, &quartiles)?;
+        let mix = [1, g.int(1..=n), n.div_ceil(2), g.int(1..=n), n];
+        check_rank_splits(&a, &b, lo, &mix)
     });
 }
 
