@@ -11,7 +11,7 @@ use spatial_core::collectives::zarray::place_z;
 use spatial_core::model::Machine;
 use spatial_core::report::print_section;
 use spatial_core::sorting::keyed::Keyed;
-use spatial_core::sorting::rank2::{multi_rank_split, rank_split};
+use spatial_core::sorting::rank2::multi_rank_split;
 
 #[allow(clippy::type_complexity)]
 fn setup(
@@ -50,7 +50,7 @@ fn main() {
 
         let mut ms = Machine::new();
         let (ai, bi) = setup(&mut ms, half);
-        let single = ks.map(|k| rank_split(&mut ms, &ai, 0, &bi, half as u64, k));
+        let single = ks.map(|k| multi_rank_split(&mut ms, &ai, 0, &bi, half as u64, &[k])[0]);
 
         assert_eq!(multi, single, "same answers");
         println!(

@@ -5,7 +5,7 @@ use bench::{print_sweep, sweep};
 use spatial_core::collectives::zarray::place_z;
 use spatial_core::report::print_section;
 use spatial_core::sorting::keyed::Keyed;
-use spatial_core::sorting::rank2::rank_split;
+use spatial_core::sorting::rank2::multi_rank_split;
 use spatial_core::theory::{self, Metric};
 
 #[allow(clippy::type_complexity)]
@@ -30,7 +30,7 @@ fn main() {
     let s = sweep("rank2", &[256, 1024, 4096, 16384, 65536], |m, n| {
         let half = (n / 2) as usize;
         let (ai, bi) = setup(m, half, 0);
-        let split = rank_split(m, &ai, 0, &bi, half as u64, n / 2);
+        let split = multi_rank_split(m, &ai, 0, &bi, half as u64, &[n / 2])[0];
         assert_eq!(split.ca + split.cb, n / 2);
     });
     print_sweep(
@@ -48,7 +48,7 @@ fn main() {
     for k in [1u64, n / 8, n / 4, n / 2, 3 * n / 4, n - 1, n] {
         let c = bench::measure(|m| {
             let (ai, bi) = setup(m, (n / 2) as usize, 0);
-            let _ = rank_split(m, &ai, 0, &bi, n / 2, k);
+            let _ = multi_rank_split(m, &ai, 0, &bi, n / 2, &[k]);
         });
         println!("{:>10} {:>14} {:>8} {:>10}", k, c.energy, c.depth, c.distance);
     }

@@ -6,19 +6,9 @@
 //! `O(w + h)` distance — a `Θ(log n)` energy improvement over binary-tree
 //! broadcasts in the logarithmic-depth regime.
 
-use spatial_model::{Coord, Machine, SpatialError, SubGrid, Tracked};
+use spatial_model::{Coord, Machine, SubGrid, Tracked};
 
 use crate::check_grid_len;
-
-/// Fallible [`broadcast`]: runs under the machine's active guard/fault layer
-/// and surfaces any violation as a typed [`SpatialError`].
-pub fn try_broadcast<T: Clone>(
-    machine: &mut Machine,
-    root: Tracked<T>,
-    grid: SubGrid,
-) -> Result<Vec<Tracked<T>>, SpatialError> {
-    machine.guarded(|m| broadcast(m, root, grid))
-}
 
 /// Broadcasts `root` (resident at `grid.origin`) to every PE of `grid`.
 ///

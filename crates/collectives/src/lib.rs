@@ -27,9 +27,9 @@ pub mod segmented;
 pub mod zarray;
 pub mod zseg;
 
-pub use broadcast::{broadcast, broadcast_1d, broadcast_2d, try_broadcast};
+pub use broadcast::{broadcast, broadcast_1d, broadcast_2d};
 pub use reduce::{all_reduce, reduce, reduce_2d};
-pub use scan::{scan, scan_any, scan_exclusive, try_scan, try_scan_any};
+pub use scan::{scan, scan_any, scan_exclusive};
 pub use segmented::{segmented_scan, SegItem};
 pub use zarray::{place_row_major, place_z, read_values};
 pub use zseg::{broadcast_z, reduce_z};

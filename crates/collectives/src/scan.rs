@@ -15,7 +15,7 @@
 //! below run instead, so instruments observe every message; both paths
 //! report identical costs, results and paths.
 
-use spatial_model::{zorder, Machine, SpatialError, Tracked};
+use spatial_model::{zorder, Machine, Tracked};
 
 /// The instrumented path's 4-ary summation tree in arena form: `levels[l]`
 /// holds the subtree sums of every block of `4^l` leaves, in block order
@@ -178,28 +178,6 @@ pub fn scan_any<T: Clone + Send + Sync>(
         }
     }
     out
-}
-
-/// Fallible [`scan`]: runs under the machine's active guard/fault layer and
-/// surfaces any violation (dead PE, memory cap, budget, bounds) as a typed
-/// [`SpatialError`] instead of relying on the machine's latched state.
-pub fn try_scan<T: Clone + Send + Sync>(
-    machine: &mut Machine,
-    lo: u64,
-    items: Vec<Tracked<T>>,
-    op: &impl Fn(&T, &T) -> T,
-) -> Result<Vec<Tracked<T>>, SpatialError> {
-    machine.guarded(|m| scan(m, lo, items, op))
-}
-
-/// Fallible [`scan_any`] (see [`try_scan`]).
-pub fn try_scan_any<T: Clone + Send + Sync>(
-    machine: &mut Machine,
-    lo: u64,
-    items: Vec<Tracked<T>>,
-    op: &impl Fn(&T, &T) -> T,
-) -> Result<Vec<Tracked<T>>, SpatialError> {
-    machine.guarded(|m| scan_any(m, lo, items, op))
 }
 
 /// Height of the subtree covering `len` leaves (`len = 4^h`).

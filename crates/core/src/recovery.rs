@@ -9,9 +9,9 @@
 //!
 //! An attempt counts as failed when any of:
 //!
-//! * the run returned a typed [`SpatialError`] (e.g. a `try_` entry point
-//!   hit a dead PE or tripped a guard);
-//! * the machine latched a violation the infallible API absorbed;
+//! * the run returned a typed [`SpatialError`] (e.g. a
+//!   [`Machine::guarded`] primitive hit a dead PE or tripped a guard);
+//! * the machine latched a violation the run did not check;
 //! * the machine recorded fault hits ([`Machine::fault_hits`]) — the
 //!   simulator cannot flip bits inside arbitrary payloads, so a transient
 //!   message corruption is surfaced as a hit and treated exactly like an
@@ -168,9 +168,10 @@ impl BackoffPolicy {
 ///
 /// let plan = FaultPlan::builder(7).dead_row(1).flaky(0.2).build();
 /// let out = run_with_recovery(&plan, 16, |m, _attempt| {
-///     let a = m.try_place(Coord::new(0, 0), 21i64)?;
-///     let b = m.try_send(&a, Coord::new(3, 0))?;
-///     Ok(*b.value() * 2)
+///     m.guarded(|m| {
+///         let a = m.place(Coord::new(0, 0), 21i64);
+///         *m.send(&a, Coord::new(3, 0)).value() * 2
+///     })
 /// }, |v| *v == 42)
 /// .expect("recoverable");
 /// assert_eq!(out.value, 42);
@@ -286,11 +287,13 @@ mod tests {
     use spatial_model::{Coord, ModelGuard};
 
     fn ping_pong(m: &mut Machine, hops: i64) -> Result<i64, SpatialError> {
-        let mut v = m.try_place(Coord::ORIGIN, 1i64)?;
-        for i in 1..=hops {
-            v = m.try_send_owned(v, Coord::new(i % 4, (i + 1) % 4))?;
-        }
-        Ok(*v.value())
+        m.guarded(|m| {
+            let mut v = m.place(Coord::ORIGIN, 1i64);
+            for i in 1..=hops {
+                v = m.send_owned(v, Coord::new(i % 4, (i + 1) % 4));
+            }
+            *v.value()
+        })
     }
 
     #[test]
@@ -334,13 +337,16 @@ mod tests {
             &plan,
             2,
             |m, _| {
-                let v = m.try_place(Coord::ORIGIN, 1i64)?;
-                m.try_send(&v, Coord::new(1, 2)).map(|t| *t.value())
+                m.guarded(|m| {
+                    let v = m.place(Coord::ORIGIN, 1i64);
+                    *m.send(&v, Coord::new(1, 2)).value()
+                })
             },
             |_| true,
         )
         .unwrap_err();
-        assert!(matches!(err.last_error, Some(SpatialError::DeadPe { .. })));
+        let dead = Coord::new(1, 2);
+        assert_eq!(err.last_error, Some(SpatialError::DeadPe { logical: dead, physical: dead }));
     }
 
     #[test]

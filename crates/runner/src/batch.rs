@@ -271,6 +271,7 @@ pub fn write_report(report: &BatchReport) -> std::io::Result<std::path::PathBuf>
 mod tests {
     use super::*;
     use crate::job::{JobKind, Outcome};
+    use spatial_core::model::Cost;
 
     const SMOKE: &str = r#"{
         "name": "unit",
@@ -325,6 +326,25 @@ mod tests {
         assert_eq!(report.jobs[3].outcome, Outcome::Ok);
         assert_eq!(report.exit_code(false), 1, "the panic decides the exit code");
         assert_eq!(report.exit_code(true), 0);
+    }
+
+    #[test]
+    fn chaos_spin_under_a_budget_stops_at_the_crossing_send() {
+        // Each hop is 14 long, so budget 90 is crossed by the 7th message
+        // (98 > 90); a spin that checked its budget any less often than
+        // every send would charge more before stopping.
+        let mut spec = JobSpec::new("spin-budget", JobKind::ChaosSpin);
+        spec.budget = Some(90);
+        spec.retries = 1;
+        spec.deadline_ms = Some(60_000);
+        let config = BatchConfig { backoff: BackoffPolicy::NONE, ..BatchConfig::default() };
+        let report = run_batch("unit", &config, &[spec]);
+        let r = &report.jobs[0];
+        assert_eq!(r.outcome, Outcome::Degraded, "{:?}", r.error);
+        assert_eq!((r.attempts, r.escalation), (2, 2));
+        assert_eq!(r.cost, Some(Cost { energy: 196, depth: 14, distance: 196, messages: 14 }));
+        let error = r.error.as_deref().unwrap();
+        assert!(error.ends_with("energy reached 98 (budget 90))"), "{error}");
     }
 
     #[test]

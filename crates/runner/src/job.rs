@@ -588,18 +588,19 @@ fn run_primitive(spec: &JobSpec, m: &mut Machine, salt: u64) -> Result<Vec<i64>,
     match spec.kind {
         JobKind::Scan | JobKind::ChaosBadVerify => {
             let items = collectives::place_z(m, 0, spec.array.generate(n, spec.seed));
-            let out =
-                collectives::try_scan_any(m, 0, items, &|a: &i64, b: &i64| a.wrapping_add(*b))?;
+            let out = m.guarded(|m| {
+                collectives::scan_any(m, 0, items, &|a: &i64, b: &i64| a.wrapping_add(*b))
+            })?;
             Ok(collectives::read_values(out))
         }
         JobKind::Sort => {
             let items = collectives::place_z(m, 0, spec.array.generate(n, spec.seed));
-            let out = sorting::try_sort_z(m, 0, items)?;
+            let out = m.guarded(|m| sorting::sort_z(m, 0, items))?;
             Ok(collectives::read_values(out))
         }
         JobKind::Select => {
             let items = collectives::place_z(m, 0, spec.array.generate(n, spec.seed));
-            let (t, _stats) = selection::try_select_rank(m, 0, items, spec.k, salt)?;
+            let (t, _stats) = m.guarded(|m| selection::select_rank(m, 0, items, spec.k, salt))?;
             Ok(vec![t.into_value()])
         }
         JobKind::TopK => {
@@ -610,16 +611,17 @@ fn run_primitive(spec: &JobSpec, m: &mut Machine, salt: u64) -> Result<Vec<i64>,
         JobKind::Spmv => {
             let mat = workloads::matrices::random_uniform(n, 4, spec.seed);
             let x = spec.array.generate(n, spec.seed ^ 0x5EED);
-            Ok(spmv::try_spmv(m, &mat, &x)?.y)
+            Ok(m.guarded(|m| spmv::spmv(m, &mat, &x))?.y)
         }
         JobKind::ChaosPanic => panic!("chaos-panic: deliberate job panic ({})", spec.id),
         JobKind::ChaosSpin => {
             // Bounce a value between two corners until the watchdog trips
-            // the cancel token (the strict send then returns Cancelled).
-            let mut v = m.try_place(Coord::ORIGIN, 0i64)?;
+            // the cancel token or the budget runs out; the latch is checked
+            // after every send, so the spin stops at the first violation.
+            let mut v = m.guarded(|m| m.place(Coord::ORIGIN, 0i64))?;
             loop {
-                v = m.try_send_owned(v, Coord::new(7, 7))?;
-                v = m.try_send_owned(v, Coord::ORIGIN)?;
+                v = m.guarded(|m| m.send_owned(v, Coord::new(7, 7)))?;
+                v = m.guarded(|m| m.send_owned(v, Coord::ORIGIN))?;
             }
         }
     }

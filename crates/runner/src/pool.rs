@@ -12,9 +12,11 @@
 //!   pool starts. A watchdog thread polls the running set once per tick and
 //!   trips the token of any task past its deadline; the last task to finish
 //!   wakes it, so the pool returns without sleeping out a tick. The
-//!   simulator checks the token cooperatively on every `place`/`send`, so a
-//!   runaway job surfaces `SpatialError::Cancelled` within one message of
-//!   the deadline firing.
+//!   simulator latches `SpatialError::Cancelled` at the next `place`/`send`
+//!   after the token trips, but a primitive never checks the latch
+//!   mid-run: the attempt runs to completion and the deadline only stops
+//!   further retries. Only a job that checks the latch after every send
+//!   (chaos-spin) stops within one message of the deadline firing.
 //!   No wall-clock ever enters the simulator itself — the token is a plain
 //!   flag, which is what keeps cancelled runs classifiable without
 //!   poisoning cost determinism.

@@ -21,7 +21,7 @@
 
 use spatial_rng::Rng;
 
-use spatial_model::{zorder, Machine, SpatialError, Tracked};
+use spatial_model::{zorder, Machine, Tracked};
 
 use collectives::scan::scan_exclusive;
 use collectives::zarray::place_z;
@@ -77,18 +77,6 @@ pub fn select_rank<T: Ord + Clone + Send + Sync>(
     seed: u64,
 ) -> (Tracked<T>, SelectionStats) {
     select_rank_cfg(machine, lo, items, k, SelectionConfig { c: C, seed })
-}
-
-/// Fallible [`select_rank`]: runs under the machine's active guard/fault
-/// layer and surfaces any violation as a typed [`SpatialError`].
-pub fn try_select_rank<T: Ord + Clone + Send + Sync>(
-    machine: &mut Machine,
-    lo: u64,
-    items: Vec<Tracked<T>>,
-    k: u64,
-    seed: u64,
-) -> Result<(Tracked<T>, SelectionStats), SpatialError> {
-    machine.guarded(|m| select_rank(m, lo, items, k, seed))
 }
 
 /// [`select_rank`] with explicit tuning (used by the `c`-ablation bench).

@@ -36,6 +36,6 @@ pub mod shearsort;
 pub use allpairs::{allpairs_rank, allpairs_sort_to_z, scratch_for};
 pub use keyed::Keyed;
 pub use merge2d::merge_adjacent;
-pub use mergesort::{sort_row_major, sort_z, sort_z_values, try_sort_z};
-pub use rank2::{multi_rank_split, rank_split};
+pub use mergesort::{sort_row_major, sort_z, sort_z_values};
+pub use rank2::multi_rank_split;
 pub use shearsort::{shearsort_row_major, shearsort_snake};

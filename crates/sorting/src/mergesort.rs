@@ -10,7 +10,7 @@
 //! performs the row-major conversions at the boundaries (the permutation of
 //! Fig. 3(d)), preserving all cost bounds.
 
-use spatial_model::{zorder, Machine, SpatialError, SubGrid, Tracked};
+use spatial_model::{zorder, Machine, SubGrid, Tracked};
 
 use collectives::route::{route, row_major_to_z};
 
@@ -65,16 +65,6 @@ pub fn sort_z<T: Ord + Clone + Send + Sync>(
         }
     }
     out
-}
-
-/// Fallible [`sort_z`]: runs under the machine's active guard/fault layer
-/// and surfaces any violation as a typed [`SpatialError`].
-pub fn try_sort_z<T: Ord + Clone + Send + Sync>(
-    machine: &mut Machine,
-    lo: u64,
-    items: Vec<Tracked<T>>,
-) -> Result<Vec<Tracked<T>>, SpatialError> {
-    machine.guarded(|m| sort_z(m, lo, items))
 }
 
 /// Like [`sort_z`] but returns the sorted plain values (reads the array out

@@ -14,7 +14,7 @@
 //! (within the `O(n^{5/4})` budget) but keeps the distance at `O(√n)`, where
 //! `log n` sequential round-trip probes would cost `O(√n log n)`.
 
-use spatial_model::{Machine, Tracked};
+use spatial_model::{Coord, Machine, Tracked};
 
 use collectives::zseg::{broadcast_z, reduce_z};
 
@@ -47,12 +47,17 @@ pub struct Split {
     pub cb: u64,
 }
 
-/// Computes the rank-`k` splits for several ranks at once — the
-/// *multiselection* problem the paper cites (\[53\]) for the merge's three
-/// quartile queries. One sample is gathered and all-pairs-ranked once; all
-/// pivots ship in a single broadcast; only the `O(√n)`-sized windows are
-/// ranked per k. Costs match a single [`rank_split`] up to constants:
-/// `O(K·n^{5/4})` energy, `O(log n)` depth, `O(√n)` distance.
+/// Computes the rank-`k` split of two sorted arrays for every `k` in `ks`
+/// (1-based, `1 ≤ k ≤ |A| + |B|`): the *multiselection* problem the paper
+/// cites (\[53\]) for the merge's three quartile queries, and Lemma V.6's
+/// single split at `K = 1`. One sample is gathered and all-pairs-ranked
+/// once; all pivots ship in a single broadcast; only the `O(√n)`-sized
+/// windows are ranked per k. Costs: `O(K·n^{5/4})` energy, `O(log n)`
+/// depth, `O(√n)` distance.
+///
+/// `a` must be sorted ascending on the Z-segment `[a_lo, a_lo + |A|)` and
+/// `b` on `[b_lo, b_lo + |B|)`. Elements across both arrays must be pairwise
+/// distinct (wrap in [`crate::keyed::Keyed`]).
 ///
 /// The number of ranks `K` is fixed at compile time, so the pivot bundle
 /// and every per-element indicator are plain arrays.
@@ -77,9 +82,12 @@ pub fn multi_rank_split<P: Ord + Clone + Send + Sync, const K: usize>(
     }
 
     let stride = isqrt(n).max(1);
+    // Window length per array; 3·stride + 4 covers the pivot-rank slack
+    // (rank(S_l) ∈ [k-1-3·stride, k-1], see the lemma's proof and DESIGN.md).
     let win = 3 * stride + 4;
 
-    // Which ranks need the sampling phase at all?
+    // A rank skips the sampling phase when it is small enough that its
+    // answer lies in the first windows anyway (the paper's case l = 0).
     let needs_pivot: [bool; K] = ks.map(|k| (k - 1) / stride != 0 && n > win);
     let exclusions: [(u64, u64); K] = if needs_pivot.contains(&true) {
         // Shared phase: sample once, rank once.
@@ -134,81 +142,6 @@ pub fn multi_rank_split<P: Ord + Clone + Send + Sync, const K: usize>(
     })
 }
 
-/// Computes the rank-`k` split of two sorted arrays (`k` 1-based,
-/// `1 ≤ k ≤ |A| + |B|`).
-///
-/// `a` must be sorted ascending on the Z-segment `[a_lo, a_lo + |A|)` and
-/// `b` on `[b_lo, b_lo + |B|)`. Elements across both arrays must be pairwise
-/// distinct (wrap in [`crate::keyed::Keyed`]).
-pub fn rank_split<P: Ord + Clone + Send + Sync>(
-    machine: &mut Machine,
-    a: &[Tracked<P>],
-    a_lo: u64,
-    b: &[Tracked<P>],
-    b_lo: u64,
-    k: u64,
-) -> Split {
-    let (na, nb) = (a.len() as u64, b.len() as u64);
-    let n = na + nb;
-    assert!(k >= 1 && k <= n, "rank {k} out of range 1..={n}");
-    if na == 0 {
-        return Split { ca: 0, cb: k };
-    }
-    if nb == 0 {
-        return Split { ca: k, cb: 0 };
-    }
-
-    let stride = isqrt(n).max(1);
-    // Window length per array; 3·stride + 4 covers the pivot-rank slack
-    // (rank(S_l) ∈ [k-1-3·stride, k-1], see the lemma's proof and DESIGN.md).
-    let win = 3 * stride + 4;
-
-    // Pivot phase: skipped when k is small enough that the answer lies in
-    // the first windows anyway (the paper's Case l = 0).
-    let l = (k - 1) / stride;
-    let (ea, eb) = if l == 0 || n <= win {
-        (0, 0)
-    } else {
-        // Step 1: gather every stride-th element of each array into a sample.
-        let mut sample: Vec<Tracked<(P, u8)>> = Vec::new();
-        let mut i = 0;
-        while i < na {
-            sample.push(a[i as usize].duplicate().map(|kd| (kd, 0u8)));
-            i += stride;
-        }
-        let mut i = 0;
-        while i < nb {
-            sample.push(b[i as usize].duplicate().map(|kd| (kd, 1u8)));
-            i += stride;
-        }
-        let s_len = sample.len() as u64;
-
-        // Step 2: rank the sample with All-Pairs Sort on a scratch square.
-        let bm = spatial_model::zorder::next_power_of_four(s_len);
-        let scratch = scratch_for(a_lo, bm * bm);
-        let ranked = allpairs_rank(machine, sample, scratch);
-
-        // Step 3+4: pick S_l (the l-th smallest sample, 0-based index l-1;
-        // clamped to the sample) and count its `≤`-predecessors per array.
-        let idx = (l - 1).min(s_len - 1);
-        let pivot = ranked
-            .iter()
-            .find(|t| t.value().1 == idx)
-            .expect("ranks form a permutation")
-            .duplicate()
-            .map(|(p, _)| p.0);
-        for t in ranked {
-            machine.discard(t);
-        }
-        let ea = count_leq(machine, a, a_lo, &pivot);
-        let eb = count_leq(machine, b, b_lo, &pivot);
-        machine.discard(pivot);
-        (ea, eb)
-    };
-
-    window_phase(machine, a, a_lo, b, k, ea, eb, win)
-}
-
 /// Steps 5+6 of Lemma V.6: all-pairs-rank the two narrowed windows and count
 /// how many of the `k - ea - eb` smallest come from `A`.
 #[allow(clippy::too_many_arguments)]
@@ -243,16 +176,16 @@ fn window_phase<P: Ord + Clone + Send + Sync>(
 
     // Count A-elements among the kp smallest of the window. The indicators
     // sit on block corners spread over the scratch square; compact them onto
-    // a Z-segment and reduce.
-    let indicators: Vec<Tracked<u64>> = ranked
-        .into_iter()
-        .map(|t| t.map(|((_kd, src), rank)| u64::from(src == 0 && rank < kp)))
-        .collect();
-    let compact: Vec<Tracked<u64>> = indicators
+    // a Z-segment in one batch and reduce.
+    let moves: Vec<(Tracked<u64>, Coord)> = ranked
         .into_iter()
         .enumerate()
-        .map(|(i, t)| machine.move_to(t, spatial_model::zorder::coord_of(scratch + i as u64)))
+        .map(|(i, t)| {
+            let indicator = t.map(|((_kd, src), rank)| u64::from(src == 0 && rank < kp));
+            (indicator, spatial_model::zorder::coord_of(scratch + i as u64))
+        })
         .collect();
+    let compact = machine.send_batch(moves);
     let ca_win = reduce_z(machine, compact, scratch, &|x, y| x + y);
     let ca_win_val = *ca_win.value();
     machine.discard(ca_win);
@@ -318,32 +251,6 @@ fn count_leq_multi<P: Ord + Clone + Send + Sync, const K: usize>(
     counts
 }
 
-/// Counts the elements of a sorted Z-segment array that are `≤ pivot`,
-/// via broadcast + indicator + reduce (energy `O(len)`, depth `O(log len)`,
-/// distance `O(√len)`).
-fn count_leq<P: Ord + Clone + Send + Sync>(
-    machine: &mut Machine,
-    arr: &[Tracked<P>],
-    lo: u64,
-    pivot: &Tracked<P>,
-) -> u64 {
-    let hi = lo + arr.len() as u64;
-    let copies = broadcast_z(machine, pivot.duplicate(), lo, hi);
-    let indicators: Vec<Tracked<u64>> = arr
-        .iter()
-        .zip(copies)
-        .map(|(el, pv)| {
-            let ind = el.zip_with(&pv, |e, p| u64::from(e <= p));
-            machine.discard(pv);
-            ind
-        })
-        .collect();
-    let total = reduce_z(machine, indicators, lo, &|x, y| x + y);
-    let v = *total.value();
-    machine.discard(total);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,7 +301,7 @@ mod tests {
             for k in 1..=n {
                 let mut m = Machine::new();
                 let (ai, alo, bi, blo) = setup(&mut m, &a, &b, 0);
-                let got = rank_split(&mut m, &ai, alo, &bi, blo, k);
+                let got = multi_rank_split(&mut m, &ai, alo, &bi, blo, &[k])[0];
                 let expect = reference_split(&a, &b, k);
                 assert_eq!(got, expect, "a={a:?} b={b:?} k={k}");
                 assert_eq!(got.ca + got.cb, k);
@@ -416,7 +323,7 @@ mod tests {
             for k in [1u64, 2, n / 4, n / 2, 3 * n / 4, n - 1, n] {
                 let mut m = Machine::new();
                 let (ai, alo, bi, blo) = setup(&mut m, &a, &b, 0);
-                let got = rank_split(&mut m, &ai, alo, &bi, blo, k);
+                let got = multi_rank_split(&mut m, &ai, alo, &bi, blo, &[k])[0];
                 assert_eq!(got, reference_split(&a, &b, k), "na={na} nb={nb} k={k}");
             }
         }
@@ -430,7 +337,7 @@ mod tests {
         for k in 1..=n {
             let mut m = Machine::new();
             let (ai, alo, bi, blo) = setup(&mut m, &a, &b, 256);
-            let got = rank_split(&mut m, &ai, alo, &bi, blo, k);
+            let got = multi_rank_split(&mut m, &ai, alo, &bi, blo, &[k])[0];
             assert_eq!(got, reference_split(&a, &b, k), "k={k}");
         }
     }
@@ -444,7 +351,7 @@ mod tests {
             let b: Vec<i64> = (0..n).map(|i| i * 2 + 1).collect();
             let mut m = Machine::new();
             let (ai, alo, bi, blo) = setup(&mut m, &a, &b, 0);
-            let _ = rank_split(&mut m, &ai, alo, &bi, blo, n as u64);
+            let _ = multi_rank_split(&mut m, &ai, alo, &bi, blo, &[n as u64]);
             m.energy() as f64
         };
         let growth = energy(2048) / energy(512);
@@ -458,7 +365,7 @@ mod tests {
         let b: Vec<i64> = (0..n).map(|i| i * 3 + 1).collect();
         let mut m = Machine::new();
         let (ai, alo, bi, blo) = setup(&mut m, &a, &b, 0);
-        let _ = rank_split(&mut m, &ai, alo, &bi, blo, n as u64);
+        let _ = multi_rank_split(&mut m, &ai, alo, &bi, blo, &[n as u64]);
         let bound = 20 * (2.0 * n as f64).log2() as u64 + 20;
         assert!(m.report().depth <= bound, "depth {} > {bound}", m.report().depth);
     }
@@ -491,7 +398,7 @@ mod tests {
 
         let mut m2 = Machine::new();
         let (ai, alo, bi, blo) = setup(&mut m2, &a, &b, 0);
-        let single = ks.map(|k| rank_split(&mut m2, &ai, alo, &bi, blo, k));
+        let single = ks.map(|k| multi_rank_split(&mut m2, &ai, alo, &bi, blo, &[k])[0]);
 
         assert_eq!(multi, single);
         assert!(

@@ -8,7 +8,7 @@ use collectives::zarray::place_z;
 use sorting::keyed::Keyed;
 use sorting::merge2d::merge_adjacent;
 use sorting::mergesort::{sort_z, sort_z_values};
-use sorting::rank2::{rank_split, Split};
+use sorting::rank2::{multi_rank_split, Split};
 use spatial_model::{zorder, Machine};
 
 fn reference_split(a: &[i64], b: &[i64], k: u64) -> Split {
@@ -125,7 +125,7 @@ fn rank_split_case(a: &[i64], b: &[i64], k: u64) -> Result<(), String> {
         b.iter().enumerate().map(|(i, &v)| Keyed::new(v, (a.len() + i) as u64)).collect();
     let ia = place_z(&mut m, 0, ka);
     let ib = place_z(&mut m, a.len() as u64, kb);
-    let got = rank_split(&mut m, &ia, 0, &ib, a.len() as u64, k);
+    let got = multi_rank_split(&mut m, &ia, 0, &ib, a.len() as u64, &[k])[0];
     prop_assert_eq!(got, reference_split(a, b, k));
     Ok(())
 }

@@ -3,17 +3,16 @@
 //! A [`CancelToken`] is a cheap, clonable flag shared between a simulation
 //! and its supervisor (a deadline watchdog, a batch runner shutting down, an
 //! interactive user). The [`crate::Machine`] checks the token on every
-//! placement and send — the points where a spatial algorithm necessarily
-//! returns to the simulator — so a runaway or over-deadline run surfaces as
-//! a typed [`crate::SpatialError::Cancelled`] at its next message instead of
-//! holding its worker thread hostage.
+//! placement and send and latches a typed
+//! [`crate::SpatialError::Cancelled`] at the first one after the token
+//! trips.
 //!
-//! Cancellation is *cooperative*: pure host-side compute between machine
-//! calls cannot be interrupted (Rust has no safe thread kill), so
-//! long-running host loops should poll [`CancelToken::is_cancelled`]
-//! themselves. Every algorithm in this workspace goes through the machine
-//! frequently enough that the cooperative check bounds the overshoot to a
-//! single local step.
+//! Cancellation is *cooperative* and latching does not stop the run: a
+//! primitive never checks the latch mid-recursion, so a cancelled attempt
+//! runs to completion before [`crate::Machine::guarded`] reports
+//! `Cancelled` (Rust has no safe thread kill). A caller that must stop
+//! promptly checks the latch itself between messages, e.g. with one
+//! `guarded` call per send.
 //!
 //! The token carries no deadline of its own — *when* to cancel is the
 //! supervisor's policy (see the `runner` crate's watchdog). This keeps the

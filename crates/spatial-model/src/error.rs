@@ -4,9 +4,9 @@
 //! send outside the declared grid, a PE hoarding an unbounded number of
 //! words, or an algorithm blowing past its energy budget all "succeeded"
 //! with nonsense costs. Every such violation now surfaces as a
-//! [`SpatialError`] — either returned from the fallible `try_*` machine
-//! methods, or latched on the [`crate::Machine`] (see
-//! [`crate::Machine::violation`]) when the infallible methods are used.
+//! [`SpatialError`] latched on the [`crate::Machine`] (see
+//! [`crate::Machine::violation`]); [`crate::Machine::guarded`] turns the
+//! latch into a `Result`.
 
 use std::fmt;
 
@@ -91,17 +91,6 @@ pub enum SpatialError {
     /// batch shutdown, user interrupt) and the simulation observed it at its
     /// next placement or send.
     Cancelled,
-    /// A local fold ([`crate::Machine::combine`]) was given operands
-    /// residing at different PEs — cross-PE data flow must pay for messages
-    /// via [`crate::Machine::send`]. Surfaced as a typed error (latched by
-    /// the lax path, returned by `try_combine`) instead of panicking inside
-    /// guarded runs.
-    NotCoLocated {
-        /// The PE of the first operand (where the fold runs).
-        expected: Coord,
-        /// The first operand found elsewhere.
-        found: Coord,
-    },
     /// An instrumentation accessor was used on a machine that never enabled
     /// that instrument (e.g. reading the trace without
     /// [`crate::Machine::enable_trace`]) — a usage error, reported instead
@@ -116,9 +105,8 @@ impl SpatialError {
     /// A distinct process exit code per error variant, used by the CLI so
     /// fault regressions are distinguishable in scripts and CI:
     /// dead PE → 4, out of bounds → 5, memory cap → 6, budget → 7,
-    /// cancelled/deadline → 9, non-co-located fold → 11 (8 is the
-    /// recovery-exhausted code of `spatial_core::recovery`, 10 is the batch
-    /// runner's shed code).
+    /// cancelled/deadline → 9 (8 is the recovery-exhausted code of
+    /// `spatial_core::recovery`, 10 is the batch runner's shed code).
     /// A disabled instrument is a usage error and shares the usage code 2.
     pub fn exit_code(&self) -> i32 {
         match self {
@@ -128,7 +116,6 @@ impl SpatialError {
             SpatialError::MemoryExceeded { .. } => 6,
             SpatialError::BudgetExceeded { .. } => 7,
             SpatialError::Cancelled => 9,
-            SpatialError::NotCoLocated { .. } => 11,
         }
     }
 }
@@ -158,11 +145,6 @@ impl fmt::Display for SpatialError {
             SpatialError::Cancelled => {
                 write!(f, "cancelled: the run's cancel token was tripped (deadline exceeded)")
             }
-            SpatialError::NotCoLocated { expected, found } => write!(
-                f,
-                "not co-located: local fold at {expected} was given an operand at {found} \
-                 (cross-PE data flow must go through Machine::send)"
-            ),
             SpatialError::InstrumentationDisabled { what } => {
                 write!(f, "instrumentation disabled: {what}")
             }
@@ -187,7 +169,6 @@ mod tests {
             SpatialError::MemoryExceeded { loc: Coord::ORIGIN, resident: 3, cap: 3 },
             SpatialError::BudgetExceeded { metric: BudgetMetric::Energy, used: 10, budget: 9 },
             SpatialError::Cancelled,
-            SpatialError::NotCoLocated { expected: Coord::ORIGIN, found: Coord::new(1, 0) },
         ];
         let codes: std::collections::HashSet<i32> = errs.iter().map(|e| e.exit_code()).collect();
         assert_eq!(codes.len(), errs.len());

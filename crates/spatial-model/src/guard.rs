@@ -5,9 +5,8 @@
 //! holds `O(1)` words, and a primitive's cost is supposed to stay within its
 //! analyzed bound. A [`ModelGuard`] turns each promise into a checked
 //! invariant: activate one with [`crate::Machine::enable_guard`] and every
-//! placement/send is validated, with violations surfacing as typed
-//! [`crate::SpatialError`] values (immediately from the `try_*` methods,
-//! latched on the machine for the infallible ones).
+//! placement/send is validated, with violations latched on the machine as
+//! typed [`crate::SpatialError`] values (see [`crate::Machine::guarded`]).
 
 use crate::cost::Cost;
 use crate::error::{BudgetMetric, SpatialError};
@@ -26,8 +25,8 @@ use crate::grid::SubGrid;
 ///     .max_energy(1_000);
 /// let mut m = Machine::new();
 /// m.enable_guard(guard);
-/// let v = m.try_place(Coord::new(0, 0), 1i64).unwrap();
-/// assert!(m.try_send(&v, Coord::new(100, 0)).is_err()); // outside the extent
+/// let v = m.place(Coord::new(0, 0), 1i64);
+/// assert!(m.guarded(|m| m.send(&v, Coord::new(100, 0))).is_err()); // outside the extent
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ModelGuard {

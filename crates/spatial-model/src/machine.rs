@@ -29,9 +29,9 @@ struct FaultState {
     has_dead_pes: bool,
     /// Deterministic per-message transient-corruption stream.
     rng: Rng,
-    /// Fault contacts: transiently corrupted messages plus (in the
-    /// infallible API) deliveries to dead PEs. Any non-zero count means the
-    /// run's output cannot be trusted end to end.
+    /// Fault contacts: transiently corrupted messages plus deliveries to
+    /// dead PEs. Any non-zero count means the run's output cannot be
+    /// trusted end to end.
     hits: u64,
     /// Extra energy relative to the same run on a fault-free grid (dead-row
     /// detours plus degraded-link penalties).
@@ -69,15 +69,11 @@ impl FaultState {
 /// message corruption are recorded. [`Machine::enable_guard`] activates
 /// conformance checks (grid extent, per-PE memory cap, cost budgets).
 ///
-/// Violations surface in one of two ways:
-///
-/// * the fallible methods ([`Machine::try_place`], [`Machine::try_send`],
-///   [`Machine::try_send_owned`]) return `Err(`[`SpatialError`]`)`
-///   immediately and leave the simulation state untouched where possible;
-/// * the infallible methods keep their signatures, absorb the violation into
-///   the run (the delivery still happens so the simulation can continue) and
-///   **latch** the first error, retrievable via [`Machine::violation`] —
-///   they never panic on guard/fault violations.
+/// A violation never panics and never refuses a message: the placement or
+/// delivery still happens (and is charged) so the simulation can continue,
+/// and the machine **latches** the first [`SpatialError`], retrievable via
+/// [`Machine::violation`]. [`Machine::guarded`] is the one place a latched
+/// violation becomes a `Result`.
 #[derive(Debug, Default)]
 pub struct Machine {
     energy: u64,
@@ -175,10 +171,10 @@ impl Machine {
     }
 
     /// Attaches a cooperative cancellation token (see [`CancelToken`]).
-    /// Once the token is tripped, every subsequent placement or send
-    /// surfaces [`SpatialError::Cancelled`] — returned by the fallible
-    /// `try_*` methods, latched by the infallible ones — so a supervisor's
-    /// deadline watchdog can stop a runaway simulation at its next message.
+    /// Once the token is tripped, the next placement or send latches
+    /// [`SpatialError::Cancelled`]. The run itself continues to completion;
+    /// a caller that checks the latch between messages (through
+    /// [`Machine::guarded`]) stops at its next message.
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.cancel = Some(token);
     }
@@ -229,8 +225,8 @@ impl Machine {
     }
 
     /// Number of fault contacts so far: transiently corrupted messages plus
-    /// infallible deliveries to dead PEs. A recovery harness treats any
-    /// non-zero count as an end-to-end checksum failure.
+    /// deliveries to dead PEs. A recovery harness treats any non-zero count
+    /// as an end-to-end checksum failure.
     pub fn fault_hits(&self) -> u64 {
         self.faults.as_ref().map_or(0, |f| f.hits)
     }
@@ -242,8 +238,8 @@ impl Machine {
         self.faults.as_ref().map_or(0, |f| f.detour_energy)
     }
 
-    /// The first guard/fault violation absorbed by the infallible API, if
-    /// any. `None` means the run so far is model-conformant.
+    /// The first guard/fault violation latched so far, if any. `None` means
+    /// the run so far is model-conformant.
     pub fn violation(&self) -> Option<&SpatialError> {
         self.violation.as_ref()
     }
@@ -255,8 +251,9 @@ impl Machine {
 
     /// Runs `f` and converts any violation it latches into a typed error:
     /// `Err` if a violation was already latched before the call or if `f`
-    /// latches one, `Ok(f(self))` otherwise. This is the building block for
-    /// the `try_` entry points of the algorithm crates.
+    /// latches one, `Ok(f(self))` otherwise. This is how callers run a whole
+    /// primitive (`m.guarded(|m| sort_z(m, 0, items))`) or a single send
+    /// fallibly without threading `Result` through the recursion.
     pub fn guarded<R>(&mut self, f: impl FnOnce(&mut Machine) -> R) -> Result<R, SpatialError> {
         if let Some(e) = &self.violation {
             return Err(e.clone());
@@ -272,16 +269,19 @@ impl Machine {
     /// problem statement, not of the algorithm's cost). Guard/fault
     /// violations are latched (see [`Machine::violation`]).
     pub fn place<T>(&mut self, loc: Coord, value: T) -> Tracked<T> {
-        match self.place_impl(loc, value, false) {
-            Ok(t) => t,
-            Err(_) => unreachable!("lax placement never fails"),
+        if let Some(e) = self.cancel_violation() {
+            self.latch(e);
         }
-    }
-
-    /// Fallible [`Machine::place`]: returns the violation instead of
-    /// latching it, and performs no placement on error.
-    pub fn try_place<T>(&mut self, loc: Coord, value: T) -> Result<Tracked<T>, SpatialError> {
-        self.place_impl(loc, value, true)
+        if let Some(e) = self.target_violation(loc) {
+            self.latch_target(e);
+        }
+        if let Some(e) = self.mem_violation(loc) {
+            self.latch(e);
+        }
+        if let Some(mem) = &mut self.mem {
+            mem.store(loc);
+        }
+        Tracked::raw(value, loc, Path::ZERO)
     }
 
     /// Places `values[i]` at `loc_of(i)` — [`Machine::place`] over a whole
@@ -306,45 +306,14 @@ impl Machine {
     /// stays resident. Guard/fault violations are latched (see
     /// [`Machine::violation`]).
     pub fn send<T: Clone>(&mut self, t: &Tracked<T>, dst: Coord) -> Tracked<T> {
-        match self.send_impl(t.value().clone(), t.loc(), t.path(), dst, false, false) {
-            Ok(t) => t,
-            Err(_) => unreachable!("lax send never fails"),
-        }
-    }
-
-    /// Fallible [`Machine::send`]: returns the violation instead of latching
-    /// it. On `Err` for a dead/out-of-bounds target nothing is charged; on a
-    /// budget error the message *was* charged (it is the send that crossed
-    /// the budget) but nothing is delivered.
-    pub fn try_send<T: Clone>(
-        &mut self,
-        t: &Tracked<T>,
-        dst: Coord,
-    ) -> Result<Tracked<T>, SpatialError> {
-        self.send_impl(t.value().clone(), t.loc(), t.path(), dst, false, true)
+        self.send_impl(t.value().clone(), t.loc(), t.path(), dst, false)
     }
 
     /// Moves `t` to `dst`, charging one message. The source PE frees the
     /// slot. Guard/fault violations are latched (see [`Machine::violation`]).
     pub fn send_owned<T>(&mut self, t: Tracked<T>, dst: Coord) -> Tracked<T> {
         let (value, loc, path) = t.into_parts();
-        match self.send_impl(value, loc, path, dst, true, false) {
-            Ok(t) => t,
-            Err(_) => unreachable!("lax send never fails"),
-        }
-    }
-
-    /// Fallible [`Machine::send_owned`]: returns the violation instead of
-    /// latching it. On `Err` the moved value is lost (the model has no
-    /// return channel for a failed delivery); use [`Machine::try_send`] and
-    /// an explicit [`Machine::discard`] to keep the source copy on failure.
-    pub fn try_send_owned<T>(
-        &mut self,
-        t: Tracked<T>,
-        dst: Coord,
-    ) -> Result<Tracked<T>, SpatialError> {
-        let (value, loc, path) = t.into_parts();
-        self.send_impl(value, loc, path, dst, true, true)
+        self.send_impl(value, loc, path, dst, true)
     }
 
     /// Discards a value, releasing its memory slot (free in the model).
@@ -544,65 +513,23 @@ impl Machine {
         out
     }
 
-    /// Local fold of co-located values (the machine-aware form of
-    /// [`Tracked::combine`]): non-co-located operands latch a typed
-    /// [`SpatialError::NotCoLocated`] instead of panicking, and the fold
-    /// continues at the first operand's PE so guarded runs can surface the
-    /// violation through [`Machine::guarded`] / [`Machine::violation`].
-    ///
-    /// # Panics
-    /// Panics if `items` is empty (a usage bug, not a model violation).
-    pub fn combine<T, R>(
-        &mut self,
-        items: &[Tracked<T>],
-        f: impl FnOnce(&[&T]) -> R,
-    ) -> Tracked<R> {
-        match self.combine_impl(items, f, false) {
-            Ok(t) => t,
-            Err(_) => unreachable!("lax combine never fails"),
-        }
-    }
-
-    /// Fallible [`Machine::combine`]: returns [`SpatialError::NotCoLocated`]
-    /// on the first operand residing at a different PE than the first,
-    /// without latching and without running `f`.
-    pub fn try_combine<T, R>(
-        &mut self,
-        items: &[Tracked<T>],
-        f: impl FnOnce(&[&T]) -> R,
-    ) -> Result<Tracked<R>, SpatialError> {
-        self.combine_impl(items, f, true)
-    }
-
-    fn combine_impl<T, R>(
-        &mut self,
-        items: &[Tracked<T>],
-        f: impl FnOnce(&[&T]) -> R,
-        strict: bool,
-    ) -> Result<Tracked<R>, SpatialError> {
-        assert!(!items.is_empty(), "combine requires at least one operand");
-        let loc = items[0].loc();
-        let mut path = Path::ZERO;
-        for it in items {
-            if it.loc() != loc {
-                let e = SpatialError::NotCoLocated { expected: loc, found: it.loc() };
-                if strict {
-                    return Err(e);
-                }
-                self.latch(e);
-            }
-            path = path.join(it.path());
-        }
-        let refs: Vec<&T> = items.iter().map(|t| t.value()).collect();
-        Ok(Tracked::raw(f(&refs), loc, path))
-    }
-
-    /// Latches the first absorbed violation.
+    /// Latches the first violation.
     #[inline]
     fn latch(&mut self, e: SpatialError) {
         if self.violation.is_none() {
             self.violation = Some(e);
         }
+    }
+
+    /// Latches a [`Machine::target_violation`], counting a delivery to a
+    /// dead PE as a fault hit.
+    fn latch_target(&mut self, e: SpatialError) {
+        if matches!(e, SpatialError::DeadPe { .. }) {
+            if let Some(f) = &mut self.faults {
+                f.hits += 1;
+            }
+        }
+        self.latch(e);
     }
 
     /// The cancellation violation, if the attached token has been tripped.
@@ -648,41 +575,6 @@ impl Machine {
         }
     }
 
-    fn place_impl<T>(
-        &mut self,
-        loc: Coord,
-        value: T,
-        strict: bool,
-    ) -> Result<Tracked<T>, SpatialError> {
-        if let Some(e) = self.cancel_violation() {
-            if strict {
-                return Err(e);
-            }
-            self.latch(e);
-        }
-        if let Some(e) = self.target_violation(loc) {
-            if strict {
-                return Err(e);
-            }
-            if matches!(e, SpatialError::DeadPe { .. }) {
-                if let Some(f) = &mut self.faults {
-                    f.hits += 1;
-                }
-            }
-            self.latch(e);
-        }
-        if let Some(e) = self.mem_violation(loc) {
-            if strict {
-                return Err(e);
-            }
-            self.latch(e);
-        }
-        if let Some(mem) = &mut self.mem {
-            mem.store(loc);
-        }
-        Ok(Tracked::raw(value, loc, Path::ZERO))
-    }
-
     fn send_impl<T>(
         &mut self,
         value: T,
@@ -690,35 +582,17 @@ impl Machine {
         path: Path,
         dst: Coord,
         owned: bool,
-        strict: bool,
-    ) -> Result<Tracked<T>, SpatialError> {
-        // The cancellation check comes first: a cancelled run should stop at
-        // its next message without charging further traffic.
+    ) -> Tracked<T> {
         if let Some(e) = self.cancel_violation() {
-            if strict {
-                return Err(e);
-            }
             self.latch(e);
         }
         if let Some(e) = self.target_violation(dst) {
-            if strict {
-                return Err(e);
-            }
-            if matches!(e, SpatialError::DeadPe { .. }) {
-                if let Some(f) = &mut self.faults {
-                    f.hits += 1;
-                }
-            }
-            self.latch(e);
+            self.latch_target(e);
         }
-        // The memory cap is checked before the wire charge so a strict
-        // failure leaves the counters untouched. A move to the source's own
-        // PE frees the slot before re-storing, so it can never overflow.
+        // A move to the source's own PE frees the slot before re-storing, so
+        // it can never overflow.
         let mem_err = if owned && src == dst { None } else { self.mem_violation(dst) };
         if let Some(e) = mem_err {
-            if strict {
-                return Err(e);
-            }
             self.latch(e);
         }
         let d = self.charge(src, dst, path);
@@ -729,12 +603,9 @@ impl Machine {
             mem.store(dst);
         }
         if let Some(e) = self.guard.as_ref().and_then(|g| g.budget_violation(self.report())) {
-            if strict {
-                return Err(e);
-            }
             self.latch(e);
         }
-        Ok(Tracked::raw(value, dst, path.step(d)))
+        Tracked::raw(value, dst, path.step(d))
     }
 
     /// Charges one message from `src` to `dst`. Under an active fault plan
@@ -931,49 +802,39 @@ mod tests {
     }
 
     #[test]
-    fn try_send_to_dead_pe_fails_without_charging() {
+    fn send_to_dead_pe_latches_and_counts_a_hit() {
         let mut m = Machine::new();
         m.enable_faults(FaultPlan::builder(0).dead_pe(Coord::new(0, 3)).build());
         let a = m.place(Coord::ORIGIN, 1u8);
-        let err = m.try_send(&a, Coord::new(0, 3)).unwrap_err();
-        assert!(matches!(err, SpatialError::DeadPe { .. }));
-        assert_eq!(m.energy(), 0, "failed strict send charges nothing");
-        assert!(m.violation().is_none(), "strict errors are returned, not latched");
-    }
-
-    #[test]
-    fn infallible_send_to_dead_pe_latches_and_counts_a_hit() {
-        let mut m = Machine::new();
-        m.enable_faults(FaultPlan::builder(0).dead_pe(Coord::new(0, 3)).build());
-        let a = m.place(Coord::ORIGIN, 1u8);
-        let b = m.send(&a, Coord::new(0, 3)); // absorbed: simulation continues
+        let b = m.send(&a, Coord::new(0, 3)); // latched: simulation continues
         assert_eq!(b.loc(), Coord::new(0, 3));
+        assert_eq!(m.energy(), 3, "the violating message is still charged");
         assert_eq!(m.fault_hits(), 1);
-        assert!(matches!(m.violation(), Some(SpatialError::DeadPe { .. })));
+        let dead = Coord::new(0, 3);
+        assert_eq!(m.violation(), Some(&SpatialError::DeadPe { logical: dead, physical: dead }));
     }
 
     #[test]
     fn guard_extent_rejects_out_of_bounds_traffic() {
         let mut m = Machine::new();
-        m.enable_guard(ModelGuard::new().extent(SubGrid::square(Coord::ORIGIN, 4)));
-        assert!(m.try_place(Coord::new(4, 0), 1u8).is_err());
-        let a = m.try_place(Coord::new(3, 3), 1u8).unwrap();
-        let err = m.try_send(&a, Coord::new(0, 4)).unwrap_err();
-        assert!(matches!(err, SpatialError::OutOfBounds { .. }));
-        assert_eq!(m.energy(), 0);
+        let extent = SubGrid::square(Coord::ORIGIN, 4);
+        m.enable_guard(ModelGuard::new().extent(extent));
+        let err = m.guarded(|m| m.place(Coord::new(4, 0), 1u8)).unwrap_err();
+        assert_eq!(err, SpatialError::OutOfBounds { loc: Coord::new(4, 0), extent });
+        m.take_violation();
+        let a = m.guarded(|m| m.place(Coord::new(3, 3), 1u8)).unwrap();
+        let err = m.guarded(|m| m.send(&a, Coord::new(0, 4))).unwrap_err();
+        assert_eq!(err, SpatialError::OutOfBounds { loc: Coord::new(0, 4), extent });
     }
 
     #[test]
     fn guard_mem_cap_is_a_hard_cap() {
         let mut m = Machine::new();
         m.enable_guard(ModelGuard::new().mem_cap(2));
-        let _a = m.try_place(Coord::ORIGIN, 1u8).unwrap();
-        let _b = m.try_place(Coord::ORIGIN, 2u8).unwrap();
-        let err = m.try_place(Coord::ORIGIN, 3u8).unwrap_err();
+        let _a = m.guarded(|m| m.place(Coord::ORIGIN, 1u8)).unwrap();
+        let _b = m.guarded(|m| m.place(Coord::ORIGIN, 2u8)).unwrap();
+        let err = m.guarded(|m| m.place(Coord::ORIGIN, 3u8)).unwrap_err();
         assert_eq!(err, SpatialError::MemoryExceeded { loc: Coord::ORIGIN, resident: 2, cap: 2 });
-        // The lax API absorbs and latches instead.
-        let _c = m.place(Coord::ORIGIN, 3u8);
-        assert!(matches!(m.violation(), Some(SpatialError::MemoryExceeded { .. })));
     }
 
     #[test]
@@ -981,8 +842,8 @@ mod tests {
         let mut m = Machine::new();
         m.enable_guard(ModelGuard::new().max_energy(5));
         let a = m.place(Coord::ORIGIN, 1u8);
-        let b = m.try_send(&a, Coord::new(0, 4)).expect("within budget");
-        let err = m.try_send(&b, Coord::new(0, 8)).unwrap_err();
+        let b = m.guarded(|m| m.send(&a, Coord::new(0, 4))).expect("within budget");
+        let err = m.guarded(|m| m.send(&b, Coord::new(0, 8))).unwrap_err();
         assert_eq!(
             err,
             SpatialError::BudgetExceeded {
@@ -1029,24 +890,20 @@ mod tests {
     }
 
     #[test]
-    fn tripped_token_fails_strict_sends_and_latches_lax_ones() {
+    fn tripped_token_latches_cancelled_at_the_next_place_or_send() {
         let mut m = Machine::new();
         let token = CancelToken::new();
         m.set_cancel_token(token.clone());
-        let a = m.try_place(Coord::ORIGIN, 1u8).expect("live token: placement succeeds");
-        let b = m.try_send(&a, Coord::new(0, 1)).expect("live token: send succeeds");
+        let a = m.guarded(|m| m.place(Coord::ORIGIN, 1u8)).expect("live token: placement succeeds");
+        let b = m.guarded(|m| m.send(&a, Coord::new(0, 1))).expect("live token: send succeeds");
         token.cancel();
-        // Strict paths return the typed error without charging the wire.
-        let energy_before = m.energy();
-        assert_eq!(m.try_send(&b, Coord::new(0, 2)).unwrap_err(), SpatialError::Cancelled);
-        assert_eq!(m.try_place(Coord::new(5, 5), 2u8).unwrap_err(), SpatialError::Cancelled);
-        assert_eq!(m.energy(), energy_before, "cancelled strict send charges nothing");
-        // Lax paths latch and continue, so guarded() converts at the end.
-        let res = m.guarded(|m| {
-            let c = m.place(Coord::new(1, 1), 3u8);
-            let _ = m.send(&c, Coord::new(1, 2));
-        });
-        assert!(matches!(res, Err(SpatialError::Cancelled)));
+        // The send still happens; the latch is what stops a guarded caller.
+        let err = m.guarded(|m| m.send(&b, Coord::new(0, 2))).unwrap_err();
+        assert_eq!(err, SpatialError::Cancelled);
+        assert_eq!(m.messages(), 2);
+        m.take_violation();
+        let err = m.guarded(|m| m.place(Coord::new(5, 5), 2u8)).unwrap_err();
+        assert_eq!(err, SpatialError::Cancelled);
     }
 
     #[test]
@@ -1130,44 +987,13 @@ mod tests {
     }
 
     #[test]
-    fn combine_latches_not_co_located_instead_of_panicking() {
-        let mut m = Machine::new();
-        let a = m.place(Coord::ORIGIN, 1i64);
-        let b = m.place(Coord::new(0, 5), 2i64);
-        let folded = m.combine(&[a, b], |xs| xs.iter().map(|x| **x).sum::<i64>());
-        assert_eq!(*folded.value(), 3, "the lax fold still runs");
-        assert_eq!(folded.loc(), Coord::ORIGIN);
-        assert!(matches!(m.violation(), Some(SpatialError::NotCoLocated { .. })));
-        // guarded() surfaces it as a typed error downstream.
-        assert!(matches!(m.guarded(|_| ()), Err(SpatialError::NotCoLocated { .. })));
-    }
-
-    #[test]
-    fn try_combine_is_strict_and_co_located_combine_is_clean() {
-        let mut m = Machine::new();
-        let a = m.place(Coord::ORIGIN, 1i64);
-        let b = m.place(Coord::new(0, 5), 2i64);
-        let err = m.try_combine(&[a, b], |_| 0).unwrap_err();
-        assert_eq!(
-            err,
-            SpatialError::NotCoLocated { expected: Coord::ORIGIN, found: Coord::new(0, 5) }
-        );
-        assert!(m.violation().is_none(), "strict errors are returned, not latched");
-        let c = m.place(Coord::new(3, 3), 10i64);
-        let d = m.send(&c, Coord::new(3, 3));
-        let sum = m.try_combine(&[c, d], |xs| xs.iter().map(|x| **x).sum::<i64>()).unwrap();
-        assert_eq!(*sum.value(), 20);
-        assert_eq!(sum.path().depth, 1, "combine joins operand paths");
-    }
-
-    #[test]
     fn move_within_cap_at_same_pe_is_not_a_violation() {
         let mut m = Machine::new();
         m.enable_guard(ModelGuard::new().mem_cap(1));
-        let a = m.try_place(Coord::ORIGIN, 1u8).unwrap();
+        let a = m.guarded(|m| m.place(Coord::ORIGIN, 1u8)).unwrap();
         // A move frees the source before storing at the destination, so a
         // full PE can still forward its word.
-        let b = m.try_send_owned(a, Coord::new(0, 1)).unwrap();
+        let b = m.guarded(|m| m.send_owned(a, Coord::new(0, 1))).unwrap();
         assert_eq!(m.memory().unwrap().resident(Coord::ORIGIN), 0);
         let _ = b;
     }

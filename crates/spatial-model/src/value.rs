@@ -8,9 +8,9 @@ use crate::path::Path;
 /// `Tracked` values can only be created by [`crate::Machine::place`] (inputs)
 /// or by machine sends; *local* computation (combining values at the same PE)
 /// is free in the model and therefore available directly on `Tracked` via
-/// [`Tracked::map`], [`Tracked::zip_with`] and [`Tracked::combine`]. All
-/// combining operations assert co-location, so the type system plus runtime
-/// checks prevent "teleporting" data without paying message costs.
+/// [`Tracked::map`] and [`Tracked::zip_with`]. Combining asserts
+/// co-location, so the type system plus runtime checks prevent
+/// "teleporting" data without paying message costs.
 #[derive(Clone, Debug)]
 pub struct Tracked<T> {
     value: T,
@@ -85,27 +85,6 @@ impl<T> Tracked<T> {
         Tracked::raw(f(&self.value, &other.value), self.loc, self.path.join(other.path))
     }
 
-    /// Local computation folding many co-located values.
-    ///
-    /// Guarded runs should prefer [`crate::Machine::combine`] /
-    /// [`crate::Machine::try_combine`], which surface a non-co-located
-    /// operand as a typed [`crate::SpatialError::NotCoLocated`] instead of
-    /// panicking.
-    ///
-    /// # Panics
-    /// Panics if the operands are not all at the same PE or `items` is empty.
-    pub fn combine<R>(items: &[Tracked<T>], f: impl FnOnce(&[&T]) -> R) -> Tracked<R> {
-        assert!(!items.is_empty(), "combine requires at least one operand");
-        let loc = items[0].loc;
-        let mut path = Path::ZERO;
-        for it in items {
-            assert_eq!(it.loc, loc, "local compute requires co-located operands");
-            path = path.join(it.path);
-        }
-        let refs: Vec<&T> = items.iter().map(|t| &t.value).collect();
-        Tracked::raw(f(&refs), loc, path)
-    }
-
     /// Replaces the value while keeping location and path (local rewrite).
     pub fn with_value<U>(&self, value: U) -> Tracked<U> {
         Tracked::raw(value, self.loc, self.path)
@@ -153,13 +132,5 @@ mod tests {
         let a = m.place(Coord::ORIGIN, 1i64);
         let b = m.place(Coord::new(0, 5), 2i64);
         let _ = a.zip_with(&b, |x, y| x + y);
-    }
-
-    #[test]
-    fn combine_folds_many() {
-        let mut m = Machine::new();
-        let vals: Vec<_> = (0..4).map(|i| m.place(Coord::ORIGIN, i as i64)).collect();
-        let sum = Tracked::combine(&vals, |xs| xs.iter().map(|x| **x).sum::<i64>());
-        assert_eq!(*sum.value(), 6);
     }
 }

@@ -19,7 +19,7 @@ pub mod matrix;
 pub mod pram_baseline;
 
 pub use linalg::SpatialVector;
-pub use lowdepth::{spmv, spmv_multi, try_spmv, SpmvOutput};
+pub use lowdepth::{spmv, spmv_multi, SpmvOutput};
 pub use matrix::{Coo, Csr};
 
 /// Scalar values a matrix can carry: enough arithmetic for `A·x` plus the

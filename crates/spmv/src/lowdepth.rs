@@ -12,7 +12,7 @@
 //! Total: `O(m^{3/2})` energy, `O(log³ n)` depth, `O(√m)` distance —
 //! dominated by the two sorts (Theorem V.8) and the scans (Lemma IV.3).
 
-use spatial_model::{zorder, Coord, Cost, Machine, SpatialError, Tracked};
+use spatial_model::{zorder, Coord, Cost, Machine, Tracked};
 
 use collectives::segmented::{segmented_scan, SegItem};
 use sorting::mergesort::sort_z;
@@ -55,16 +55,6 @@ pub struct SpmvOutput<V> {
     pub y: Vec<V>,
     /// Exact model cost of the multiplication (input placement excluded).
     pub cost: Cost,
-}
-
-/// Fallible [`spmv`]: runs under the machine's active guard/fault layer
-/// and surfaces any violation as a typed [`SpatialError`].
-pub fn try_spmv<V: Scalar>(
-    machine: &mut Machine,
-    a: &Coo<V>,
-    x: &[V],
-) -> Result<SpmvOutput<V>, SpatialError> {
-    machine.guarded(|m| spmv(m, a, x))
 }
 
 /// Computes `y = A·x` on the Spatial Computer Model.

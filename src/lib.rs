@@ -43,18 +43,16 @@ pub mod verify {
 pub mod prelude {
     pub use spatial_core::collectives::{
         all_reduce, broadcast, place_row_major, place_z, read_values, reduce, scan, scan_exclusive,
-        segmented_scan, try_broadcast, try_scan, SegItem,
+        segmented_scan, SegItem,
     };
     pub use spatial_core::model::{
         profile_by_name, CancelToken, Coord, Cost, CostProfile, FaultPlan, Machine, ModelGuard,
         Path, ProfileError, ProfiledCost, SpatialError, SubGrid, Tracked,
     };
     pub use spatial_core::recovery::{checksum, checksum_i64, run_with_recovery, Recovered};
-    pub use spatial_core::selection::{
-        select_median, select_rank, select_rank_values, try_select_rank,
-    };
-    pub use spatial_core::sorting::{sort_row_major, sort_z, sort_z_values, try_sort_z};
-    pub use spatial_core::spmv::{spmv, try_spmv, Coo, Csr};
+    pub use spatial_core::selection::{select_median, select_rank, select_rank_values};
+    pub use spatial_core::sorting::{sort_row_major, sort_z, sort_z_values};
+    pub use spatial_core::spmv::{spmv, Coo, Csr};
     pub use spatial_core::theory;
     pub use spatial_core::topk::{bottom_k, top_k};
 }

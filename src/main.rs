@@ -69,6 +69,7 @@
 //! | 14 | extent refused (serve admission; per-job `code` field only) |
 //! | 15 | transport disconnect (client retries exhausted / session torn) |
 
+use spatial_dataflow::collectives::scan_any;
 use spatial_dataflow::prelude::*;
 use spatial_dataflow::recovery::{run_with_recovery, EXIT_RECOVERY_EXHAUSTED};
 use spatial_dataflow::theory::{self, Metric, Shape};
@@ -737,10 +738,7 @@ fn run_chaos_command(a: &Args) -> ! {
             z_side(a.n as u64),
             |m, _| {
                 let items = place_z(m, 0, vals.clone());
-                spatial_dataflow::collectives::scan::try_scan_any(m, 0, items, &|x, y| {
-                    x.wrapping_add(*y)
-                })
-                .map(read_values)
+                m.guarded(|m| scan_any(m, 0, items, &|x, y| x.wrapping_add(*y))).map(read_values)
             },
             |_| false,
         );
@@ -789,10 +787,8 @@ fn main() {
                 z_side(a.n as u64),
                 |m, _| {
                     let items = place_z(m, 0, vals.clone());
-                    spatial_dataflow::collectives::scan::try_scan_any(m, 0, items, &|x, y| {
-                        x.wrapping_add(*y)
-                    })
-                    .map(read_values)
+                    m.guarded(|m| scan_any(m, 0, items, &|x, y| x.wrapping_add(*y)))
+                        .map(read_values)
                 },
                 |got| *got == expect,
             );
@@ -808,8 +804,7 @@ fn main() {
                 z_side(a.n as u64),
                 |m, _| {
                     let items = place_z(m, 0, vals.clone());
-                    try_sort_z(m, 0, items)
-                        .map(|s| s.into_iter().map(Tracked::into_value).collect::<Vec<i64>>())
+                    m.guarded(|m| sort_z_values(m, 0, items))
                 },
                 |got| *got == expect,
             );
@@ -830,7 +825,8 @@ fn main() {
                     // Fold the attempt index into the seed so a retry explores
                     // a fresh pivot trajectory.
                     let seed = a.seed ^ (u64::from(attempt) << 48);
-                    try_select_rank(m, 0, items, k, seed).map(|(t, stats)| (t.into_value(), stats))
+                    m.guarded(|m| select_rank(m, 0, items, k, seed))
+                        .map(|(t, stats)| (t.into_value(), stats))
                 },
                 |(got, _)| *got == expect,
             );
@@ -888,7 +884,7 @@ fn main() {
             let out = execute(
                 &a,
                 z_side(nnz),
-                |m, _| try_spmv(m, &mat, &x).map(|o| o.y),
+                |m, _| m.guarded(|m| spmv(m, &mat, &x).y),
                 |y| *y == expect,
             );
             report("sparse matrix-vector multiply", nnz, &out, theory::spmv_bound);

@@ -201,8 +201,8 @@ fn recovery_retry_counts_are_deterministic() {
             100,
             |m, _| {
                 let items = place_z(m, 0, v.clone());
-                spatial_dataflow::collectives::scan::try_scan_any(m, 0, items, &|a, b| {
-                    a.wrapping_add(*b)
+                m.guarded(|m| {
+                    spatial_dataflow::collectives::scan_any(m, 0, items, &|a, b| a.wrapping_add(*b))
                 })
                 .map(read_values)
             },

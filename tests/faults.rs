@@ -8,7 +8,7 @@
 //! typed [`SpatialError`] values, never panics, and everything here is
 //! bit-deterministic per seed.
 
-use spatial_dataflow::collectives::scan::try_scan_any;
+use spatial_dataflow::collectives::scan_any;
 use spatial_dataflow::model::{zorder, FaultPlan, SubGrid};
 use spatial_dataflow::prelude::*;
 use spatial_dataflow::recovery::run_with_recovery;
@@ -84,7 +84,7 @@ fn scan_correct_under_dead_rows() {
     let v = vals(256, 3);
     assert_correct_under_faults("scan", 256, |m| {
         let items = place_z(m, 0, v.clone());
-        try_scan_any(m, 0, items, &|a, b| a.wrapping_add(*b)).map(read_values)
+        m.guarded(|m| scan_any(m, 0, items, &|a, b| a.wrapping_add(*b))).map(read_values)
     });
 }
 
@@ -92,9 +92,10 @@ fn scan_correct_under_dead_rows() {
 fn broadcast_correct_under_dead_rows() {
     let grid = SubGrid::square(Coord::ORIGIN, 16);
     assert_correct_under_faults("broadcast", 256, |m| {
-        let root = m.try_place(Coord::ORIGIN, 42i64)?;
-        try_broadcast(m, root, grid)
-            .map(|copies| copies.into_iter().map(Tracked::into_value).collect::<Vec<_>>())
+        m.guarded(|m| {
+            let root = m.place(Coord::ORIGIN, 42i64);
+            broadcast(m, root, grid).into_iter().map(Tracked::into_value).collect::<Vec<_>>()
+        })
     });
 }
 
@@ -103,8 +104,7 @@ fn mergesort_correct_under_dead_rows() {
     let v = vals(512, 4);
     assert_correct_under_faults("mergesort", 512, |m| {
         let items = place_z(m, 0, v.clone());
-        try_sort_z(m, 0, items)
-            .map(|s| s.into_iter().map(Tracked::into_value).collect::<Vec<i64>>())
+        m.guarded(|m| sort_z_values(m, 0, items))
     });
 }
 
@@ -113,7 +113,7 @@ fn selection_correct_under_dead_rows() {
     let v = vals(1024, 5);
     assert_correct_under_faults("selection", 1024, |m| {
         let items = place_z(m, 0, v.clone());
-        try_select_rank(m, 0, items, 100, 7).map(|(t, _)| t.into_value())
+        m.guarded(|m| select_rank(m, 0, items, 100, 7)).map(|(t, _)| t.into_value())
     });
 }
 
@@ -122,7 +122,7 @@ fn spmv_correct_under_dead_rows() {
     let mat = workloads::random_uniform(128, 4, 9);
     let x: Vec<i64> = (0..128i64).collect();
     let nnz = mat.nnz() as u64;
-    assert_correct_under_faults("spmv", nnz, |m| try_spmv(m, &mat, &x).map(|o| o.y));
+    assert_correct_under_faults("spmv", nnz, |m| m.guarded(|m| spmv(m, &mat, &x).y));
 }
 
 #[test]
@@ -146,7 +146,7 @@ fn retry_runs_are_bit_deterministic_per_seed() {
             100,
             |m, _attempt| {
                 let items = place_z(m, 0, v.clone());
-                try_scan_any(m, 0, items, &|a, b| a.wrapping_add(*b)).map(read_values)
+                m.guarded(|m| scan_any(m, 0, items, &|a, b| a.wrapping_add(*b))).map(read_values)
             },
             |got| *got == expect,
         )
@@ -169,24 +169,29 @@ fn guard_violations_are_values_not_panics() {
     let mut m = Machine::new();
     m.enable_guard(ModelGuard::new().max_energy(10));
     let v = place_z(&mut m, 0, vals(64, 1));
-    let err = try_sort_z(&mut m, 0, v).unwrap_err();
-    assert!(matches!(err, SpatialError::BudgetExceeded { .. }), "got {err}");
+    let err = m.guarded(|m| sort_z(m, 0, v)).unwrap_err();
+    assert!(
+        matches!(err, SpatialError::BudgetExceeded { used, budget: 10, .. } if used > 10),
+        "got {err}"
+    );
     assert_eq!(err.exit_code(), 7);
 
-    // Dead PE: strict try_send refuses with coordinates attached.
+    // Dead PE: the latched error carries the coordinates.
     let mut m = Machine::new();
-    m.enable_faults(FaultPlan::builder(1).dead_pe(Coord::new(2, 2)).build());
-    let t = m.try_place(Coord::ORIGIN, 1i64).unwrap();
-    let err = m.try_send(&t, Coord::new(2, 2)).unwrap_err();
-    assert!(matches!(err, SpatialError::DeadPe { .. }), "got {err}");
+    let dead = Coord::new(2, 2);
+    m.enable_faults(FaultPlan::builder(1).dead_pe(dead).build());
+    let t = m.place(Coord::ORIGIN, 1i64);
+    let err = m.guarded(|m| m.send(&t, dead)).unwrap_err();
+    assert_eq!(err, SpatialError::DeadPe { logical: dead, physical: dead });
     assert_eq!(err.exit_code(), 4);
 
     // Extent guard: out-of-bounds is typed too.
     let mut m = Machine::new();
-    m.enable_guard(ModelGuard::new().extent(SubGrid::square(Coord::ORIGIN, 4)));
-    let t = m.try_place(Coord::ORIGIN, 1i64).unwrap();
-    let err = m.try_send(&t, Coord::new(9, 0)).unwrap_err();
-    assert!(matches!(err, SpatialError::OutOfBounds { .. }), "got {err}");
+    let extent = SubGrid::square(Coord::ORIGIN, 4);
+    m.enable_guard(ModelGuard::new().extent(extent));
+    let t = m.place(Coord::ORIGIN, 1i64);
+    let err = m.guarded(|m| m.send(&t, Coord::new(9, 0))).unwrap_err();
+    assert_eq!(err, SpatialError::OutOfBounds { loc: Coord::new(9, 0), extent });
     assert_eq!(err.exit_code(), 5);
 }
 
@@ -202,32 +207,34 @@ fn primitives_respect_hard_memory_cap() {
         let mut m = Machine::new();
         m.enable_guard(cap);
         let items = place_z(&mut m, 0, v.clone());
-        try_scan_any(&mut m, 0, items, &|a, b| a.wrapping_add(*b))
+        m.guarded(|m| scan_any(m, 0, items, &|a, b| a.wrapping_add(*b)))
             .unwrap_or_else(|e| panic!("scan n={n}: {e}"));
 
         let mut m = Machine::new();
         m.enable_guard(cap);
         let items = place_z(&mut m, 0, v.clone());
-        try_sort_z(&mut m, 0, items).unwrap_or_else(|e| panic!("sort n={n}: {e}"));
+        m.guarded(|m| sort_z(m, 0, items)).unwrap_or_else(|e| panic!("sort n={n}: {e}"));
 
         let mut m = Machine::new();
         m.enable_guard(cap);
         let items = place_z(&mut m, 0, v.clone());
-        try_select_rank(&mut m, 0, items, (n / 2) as u64, 7)
+        m.guarded(|m| select_rank(m, 0, items, (n / 2) as u64, 7))
             .unwrap_or_else(|e| panic!("select n={n}: {e}"));
 
         let mut m = Machine::new();
         m.enable_guard(cap);
         let side = (n as f64).sqrt() as u64;
-        let root = m.try_place(Coord::ORIGIN, 1i64).unwrap();
-        try_broadcast(&mut m, root, SubGrid::square(Coord::ORIGIN, side))
-            .unwrap_or_else(|e| panic!("broadcast n={n}: {e}"));
+        m.guarded(|m| {
+            let root = m.place(Coord::ORIGIN, 1i64);
+            broadcast(m, root, SubGrid::square(Coord::ORIGIN, side))
+        })
+        .unwrap_or_else(|e| panic!("broadcast n={n}: {e}"));
     }
     let mat = workloads::random_uniform(128, 4, 9);
     let x: Vec<i64> = (0..128i64).collect();
     let mut m = Machine::new();
     m.enable_guard(cap);
-    try_spmv(&mut m, &mat, &x).unwrap_or_else(|e| panic!("spmv: {e}"));
+    m.guarded(|m| spmv(m, &mat, &x)).unwrap_or_else(|e| panic!("spmv: {e}"));
 }
 
 #[test]
@@ -237,7 +244,8 @@ fn memory_cap_violation_is_typed() {
     let mut m = Machine::new();
     m.enable_guard(ModelGuard::new().mem_cap(1));
     let items = place_z(&mut m, 0, vals(64, 3));
-    let err = try_scan_any(&mut m, 0, items, &|a, b| a.wrapping_add(*b)).unwrap_err();
-    assert!(matches!(err, SpatialError::MemoryExceeded { .. }), "got {err}");
+    let err = m.guarded(|m| scan_any(m, 0, items, &|a, b| a.wrapping_add(*b))).unwrap_err();
+    // Every PE held at most one word before the first overflow.
+    assert!(matches!(err, SpatialError::MemoryExceeded { resident: 1, cap: 1, .. }), "got {err}");
     assert_eq!(err.exit_code(), 6);
 }
