@@ -6,6 +6,14 @@
 //! first grow then shrink, so chaining block corners costs `O(√L)` distance
 //! and the per-block quadrant trees give `O(L)` total energy at `O(log L)`
 //! depth — the same bounds as the square-subgrid collectives.
+//!
+//! On a bare machine each aligned block is charged by a closed-form level
+//! kernel ([`Machine::broadcast_block`], [`Machine::reduce_block`]). With any
+//! instrument armed, [`broadcast_blocks`] and [`reduce_blocks`] replay the
+//! quadrant sends level by level so the instrument sees every message. They
+//! are this module's only replay: [`broadcast_z`] and [`reduce_z`] run them
+//! on one block at a time, and All-Pairs Sort (`sorting::allpairs`) floods
+//! and sums all its blocks in one call.
 
 use spatial_model::{zorder, Coord, Machine, Tracked};
 
@@ -13,9 +21,8 @@ use spatial_model::{zorder, Coord, Machine, Tracked};
 ///
 /// Returns one value per cell, indexed by Z-offset (`out[i]` lives at
 /// Z-index `lo + i`). The root may start anywhere; it is first moved to
-/// `coord_of(lo)`. On a bare machine each aligned block is filled by the
-/// closed-form kernel [`Machine::broadcast_block`]; with any instrument
-/// armed, by the per-level sends of the quadrant broadcast below.
+/// `coord_of(lo)`. Each aligned block is filled by the level kernel on a
+/// bare machine and by [`broadcast_blocks`] otherwise.
 pub fn broadcast_z<T: Clone + Send + Sync>(
     machine: &mut Machine,
     root: Tracked<T>,
@@ -38,62 +45,58 @@ pub fn broadcast_z<T: Clone + Send + Sync>(
         if machine.is_bare() {
             machine.broadcast_block(here, start, len, &mut out);
         } else {
-            bcast_block(machine, here, start, len, &mut out);
+            out.extend(broadcast_blocks(machine, vec![here], start, len));
         }
     }
     machine.discard(carrier);
     out
 }
 
-/// Quadrant broadcast within one aligned block, level by level, appending
-/// the block's copies to `out` in Z order. At each level the filled corners
-/// (offsets `k·span`) each copy to their three sibling corners
-/// `k·span + i·q`, one batch per `(level, i)`. Charges exactly what the
-/// depth-first recursion charges.
-fn bcast_block<T: Clone + Send + Sync>(
+/// Quadrant broadcast inside `roots.len()` aligned blocks of `len` cells at
+/// once, level by level: `roots[b]` floods the block at `lo + b·len`. At
+/// each level every filled corner (the Z-offsets that are multiples of
+/// `span`) copies to its three sibling corners `+ i·q`, one batch per
+/// `(level, i)` across all blocks. Returns one value per cell of
+/// `[lo, lo + roots.len()·len)`, indexed by Z-offset. Charges exactly what
+/// the depth-first per-block recursion charges.
+pub fn broadcast_blocks<T: Clone + Send + Sync>(
     machine: &mut Machine,
-    root: Tracked<T>,
-    start: u64,
+    roots: Vec<Tracked<T>>,
+    lo: u64,
     len: u64,
-    out: &mut Vec<Tracked<T>>,
-) {
-    debug_assert_eq!(root.loc(), zorder::coord_of(start));
-    let mut slots: Vec<Option<Tracked<T>>> = (0..len).map(|_| None).collect();
-    slots[0] = Some(root);
-    let mut filled: Vec<u64> = vec![0];
+) -> Vec<Tracked<T>> {
+    let cells = roots.len() as u64 * len;
+    let mut slots: Vec<Option<Tracked<T>>> = (0..cells).map(|_| None).collect();
+    for (b, root) in roots.into_iter().enumerate() {
+        let at = b as u64 * len;
+        debug_assert_eq!(root.loc(), zorder::coord_of(lo + at));
+        slots[at as usize] = Some(root);
+    }
     let mut span = len;
     while span > 1 {
         let q = span / 4;
+        let filled = || (0..cells).step_by(span as usize);
         for i in 1..4 {
-            let sends: Vec<(&Tracked<T>, Coord)> = filled
-                .iter()
-                .map(|&off| {
-                    let src = slots[off as usize].as_ref().expect("filled corner");
-                    (src, zorder::coord_of(start + off + i * q))
+            let sends: Vec<(&Tracked<T>, Coord)> = filled()
+                .map(|at| {
+                    let src = slots[at as usize].as_ref().expect("filled corner");
+                    (src, zorder::coord_of(lo + at + i * q))
                 })
                 .collect();
             let arrived = machine.send_batch_copy(&sends);
             drop(sends);
-            for (&off, got) in filled.iter().zip(arrived) {
-                slots[(off + i * q) as usize] = Some(got);
+            for (at, got) in filled().zip(arrived) {
+                slots[(at + i * q) as usize] = Some(got);
             }
         }
-        let mut next = Vec::with_capacity(filled.len() * 4);
-        for i in 0..4 {
-            next.extend(filled.iter().map(|&off| off + i * q));
-        }
-        next.sort_unstable();
-        filled = next;
         span = q;
     }
-    out.extend(slots.into_iter().map(|o| o.expect("broadcast_z missed a cell")));
+    slots.into_iter().map(|o| o.expect("broadcast missed a cell")).collect()
 }
 
 /// Reduces one value per cell of the Z-range `[lo, hi)` (indexed by
-/// Z-offset) onto the range's first cell. On a bare machine each aligned
-/// block is reduced by the closed-form kernel [`Machine::reduce_block`];
-/// with any instrument armed, by the per-level sends of the quadrant
-/// reduce below.
+/// Z-offset) onto the range's first cell. Each aligned block is reduced by
+/// the level kernel on a bare machine and by [`reduce_blocks`] otherwise.
 pub fn reduce_z<T: Clone + Send + Sync>(
     machine: &mut Machine,
     items: Vec<Tracked<T>>,
@@ -115,7 +118,8 @@ pub fn reduce_z<T: Clone + Send + Sync>(
         let partial = if machine.is_bare() {
             machine.reduce_block(block, start, op)
         } else {
-            reduce_block(machine, start, block, op)
+            let len = block.len() as u64;
+            reduce_blocks(machine, block, start, len, op).pop().expect("one block")
         };
         acc = Some(match acc {
             None => partial,
@@ -132,28 +136,36 @@ pub fn reduce_z<T: Clone + Send + Sync>(
     machine.move_to(res, zorder::coord_of(lo))
 }
 
-/// Quadrant sum-reduce within one aligned block, bottom-up level by level.
-/// Each level's group of four partials folds onto the group corner, the
-/// three travelling siblings in one batch per `(level, i)`. Siblings fold in
-/// ascending quadrant order, exactly as the depth-first recursion does.
-fn reduce_block<T: Clone + Send + Sync>(
+/// Quadrant reduce inside the aligned blocks of `len` cells that tile the
+/// Z-range `[lo, lo + vals.len())`, all at once, bottom-up level by level:
+/// `vals[i]` sits on Z-index `lo + i`, and each block's result lands on its
+/// corner. Each level's group of four partials folds onto the group corner,
+/// the three travelling siblings in one batch per `(level, i)` across every
+/// group of every block. Siblings fold in ascending quadrant order, exactly
+/// as the depth-first per-block recursion does. Returns one partial per
+/// block, in block order.
+pub fn reduce_blocks<T: Clone + Send + Sync>(
     machine: &mut Machine,
-    start: u64,
     mut vals: Vec<Tracked<T>>,
+    lo: u64,
+    len: u64,
     op: &impl Fn(&T, &T) -> T,
-) -> Tracked<T> {
+) -> Vec<Tracked<T>> {
+    debug_assert_eq!(vals.len() as u64 % len, 0, "blocks must tile the range");
     for (i, it) in vals.iter().enumerate() {
-        debug_assert_eq!(it.loc(), zorder::coord_of(start + i as u64), "item {i} off its Z-cell");
+        debug_assert_eq!(it.loc(), zorder::coord_of(lo + i as u64), "item {i} off its Z-cell");
     }
+    // vals[g] is the partial of the g-th aligned sub-square of `stride`
+    // cells, resident at its corner.
     let mut stride = 1u64;
-    while vals.len() > 1 {
+    while stride < len {
         let groups = vals.len() / 4;
         let mut keep: Vec<Tracked<T>> = Vec::with_capacity(groups);
         let mut sib_sends: [Vec<(Tracked<T>, Coord)>; 3] =
             std::array::from_fn(|_| Vec::with_capacity(groups));
         let mut it = vals.into_iter();
         for g in 0..groups {
-            let corner = zorder::coord_of(start + 4 * g as u64 * stride);
+            let corner = zorder::coord_of(lo + 4 * g as u64 * stride);
             keep.push(it.next().expect("corner partial"));
             for s in &mut sib_sends {
                 s.push((it.next().expect("sibling partial"), corner));
@@ -174,7 +186,7 @@ fn reduce_block<T: Clone + Send + Sync>(
         vals = next;
         stride *= 4;
     }
-    vals.pop().expect("non-empty block")
+    vals
 }
 
 #[cfg(test)]

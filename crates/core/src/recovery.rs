@@ -161,6 +161,9 @@ impl BackoffPolicy {
 /// `run` receives the machine (faults already enabled; enable a guard
 /// inside if wanted) and the attempt index, which randomized algorithms
 /// should fold into their seed so a retry explores a different execution.
+/// A plan that injects nothing leaves the machine bare
+/// ([`Machine::enable_faults`]), so a clean run takes the closed-form
+/// kernels.
 ///
 /// ```
 /// use spatial_core::model::{Coord, FaultPlan, Machine};
@@ -304,6 +307,16 @@ mod tests {
         assert_eq!(out.detour_energy, 0);
         assert_eq!(out.attempt_costs.len(), 1);
         assert_eq!(out.cost, out.attempt_costs[0]);
+    }
+
+    #[test]
+    fn clean_plan_runs_on_a_bare_machine() {
+        let plan = FaultPlan::builder(1).build();
+        let out = run_with_recovery(&plan, 3, |m, _| Ok(m.is_bare()), |_| true).unwrap();
+        assert!(out.value, "an empty plan arms nothing");
+        let plan = FaultPlan::builder(1).flaky(0.001).build();
+        let out = run_with_recovery(&plan, 3, |m, _| Ok(m.is_bare()), |_| true).unwrap();
+        assert!(!out.value, "a flaky plan is an instrument");
     }
 
     #[test]

@@ -616,8 +616,9 @@ fn run_primitive(spec: &JobSpec, m: &mut Machine, salt: u64) -> Result<Vec<i64>,
         JobKind::ChaosPanic => panic!("chaos-panic: deliberate job panic ({})", spec.id),
         JobKind::ChaosSpin => {
             // Bounce a value between two corners until the watchdog trips
-            // the cancel token or the budget runs out; the latch is checked
-            // after every send, so the spin stops at the first violation.
+            // the cancel token or the budget runs out. Every send is its own
+            // `guarded` call, which reads the token and the latch when it
+            // returns, so the spin stops within one message.
             let mut v = m.guarded(|m| m.place(Coord::ORIGIN, 0i64))?;
             loop {
                 v = m.guarded(|m| m.send_owned(v, Coord::new(7, 7)))?;

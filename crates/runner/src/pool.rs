@@ -8,14 +8,14 @@
 //!   [`std::panic::catch_unwind`]; a panicking task becomes
 //!   [`TaskOutcome::Panicked`] with the panic message, and its worker thread
 //!   survives to run the next task.
-//! * **Deadlines** — every task owns a [`CancelToken`] created before the
-//!   pool starts. A watchdog thread polls the running set once per tick and
-//!   trips the token of any task past its deadline; the last task to finish
-//!   wakes it, so the pool returns without sleeping out a tick. The
-//!   simulator latches `SpatialError::Cancelled` at the next `place`/`send`
-//!   after the token trips, but a primitive never checks the latch
-//!   mid-run: the attempt runs to completion and the deadline only stops
-//!   further retries. Only a job that checks the latch after every send
+//! * **Deadlines** — every task runs with its own [`CancelToken`]. The
+//!   `Watchdog` (shared with `serve`) holds one slot per worker with the
+//!   token and deadline of the task it runs, trips every token past its
+//!   deadline once per tick, and is woken at once when the pool finishes,
+//!   so the pool returns without sleeping out a tick. The simulator reads
+//!   the token when `Machine::guarded` returns and latches
+//!   `SpatialError::Cancelled` then: the attempt runs to completion and the
+//!   deadline only stops further retries. Only a job that guards every send
 //!   (chaos-spin) stops within one message of the deadline firing.
 //!   No wall-clock ever enters the simulator itself — the token is a plain
 //!   flag, which is what keeps cancelled runs classifiable without
@@ -34,7 +34,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use spatial_core::model::CancelToken;
@@ -111,6 +111,78 @@ impl<T> TaskOutcome<T> {
     }
 }
 
+/// Locks `m`, recovering the guard from a poisoned lock. A worker that
+/// panicked inside the critical section must never take its executor down
+/// with it: the panic is already contained and reported elsewhere (per-job
+/// `catch_unwind`, thread join), and every structure under these locks is
+/// updated in a single assignment or append, so a recovered guard is safe
+/// to keep using.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The deadline watchdog of both executors, [`run_supervised`] and `serve`:
+/// one slot per worker holds the token and absolute deadline of the job
+/// that worker is running. [`Watchdog::run`] trips every token past its
+/// deadline once per tick until [`Watchdog::stop`] wakes it.
+pub(crate) struct Watchdog {
+    slots: Vec<Mutex<Option<(CancelToken, Instant)>>>,
+    stopped: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Watchdog {
+    /// A watchdog with one empty slot per worker.
+    pub(crate) fn new(workers: usize) -> Self {
+        Watchdog {
+            slots: (0..workers).map(|_| Mutex::new(None)).collect(),
+            stopped: Mutex::new(false),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Runs `job` on worker `wi` under `catch_unwind`, with a fresh token
+    /// that the watchdog trips once `deadline_ms` (if any) has passed.
+    pub(crate) fn supervise<R>(
+        &self,
+        wi: usize,
+        deadline_ms: Option<u64>,
+        job: impl FnOnce(&CancelToken) -> R,
+    ) -> std::thread::Result<R> {
+        let token = CancelToken::new();
+        if let Some(ms) = deadline_ms {
+            *lock(&self.slots[wi]) =
+                Some((token.clone(), Instant::now() + Duration::from_millis(ms)));
+        }
+        let out = catch_unwind(AssertUnwindSafe(|| job(&token)));
+        *lock(&self.slots[wi]) = None;
+        out
+    }
+
+    /// Polls the slots every `tick_ms` until [`Watchdog::stop`].
+    pub(crate) fn run(&self, tick_ms: u64) {
+        let tick = Duration::from_millis(tick_ms.max(1));
+        let mut stopped = lock(&self.stopped);
+        while !*stopped {
+            stopped = self.wake.wait_timeout(stopped, tick).unwrap_or_else(|e| e.into_inner()).0;
+            let now = Instant::now();
+            for slot in &self.slots {
+                if let Some((token, deadline)) = &*lock(slot) {
+                    if now >= *deadline {
+                        token.cancel();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Ends [`Watchdog::run`] at once, without waiting out its tick.
+    pub(crate) fn stop(&self) {
+        *lock(&self.stopped) = true;
+        self.wake.notify_all();
+    }
+}
+
 /// Shared submission queue: indices into the task vector plus a closed
 /// flag so workers know when to exit.
 struct Queue {
@@ -131,16 +203,9 @@ pub fn run_supervised<T: Send>(cfg: &PoolConfig, tasks: Vec<Task<'_, T>>) -> Vec
         return Vec::new();
     }
     let admit = cfg.admission_limit();
-
-    // Every task gets its token up front so the watchdog can reach it
-    // whether or not a worker has picked the task up yet.
-    let tokens: Vec<CancelToken> = (0..n).map(|_| CancelToken::new()).collect();
     let slots: Vec<Mutex<Option<Task<T>>>> =
         tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<TaskOutcome<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    // Absolute deadline of each *running* task (None = not running or no
-    // deadline). The watchdog polls this.
-    let running: Vec<Mutex<Option<Instant>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
     let queue = Mutex::new(Queue { ready: VecDeque::new(), closed: false });
     let not_empty = Condvar::new();
@@ -165,34 +230,17 @@ pub fn run_supervised<T: Send>(cfg: &PoolConfig, tasks: Vec<Task<'_, T>>) -> Vec
         q.closed = true;
     }
     let admitted = if gated { admit.min(n) } else { n };
-    // Admitted tasks not yet finished; the last one to finish signals
-    // `all_done` so the watchdog exits at once.
-    let remaining = Mutex::new(admitted);
-    let all_done = Condvar::new();
     let workers = cfg.workers.max(1).min(admitted.max(1));
-    let tick = Duration::from_millis(cfg.watchdog_tick_ms.max(1));
+    let watchdog = Watchdog::new(workers);
 
     std::thread::scope(|scope| {
-        // Watchdog: once per tick, trip the token of any running task past
-        // its deadline. Exits as soon as every admitted task has completed.
-        scope.spawn(|| {
-            let mut left = remaining.lock().unwrap();
-            while *left > 0 {
-                left = all_done.wait_timeout(left, tick).unwrap().0;
-                let now = Instant::now();
-                for (i, slot) in running.iter().enumerate() {
-                    let due = *slot.lock().unwrap();
-                    if let Some(deadline) = due {
-                        if now >= deadline {
-                            tokens[i].cancel();
-                        }
-                    }
-                }
-            }
-        });
+        scope.spawn(|| watchdog.run(cfg.watchdog_tick_ms));
 
-        for _ in 0..workers {
-            scope.spawn(|| loop {
+        let (queue, not_empty, not_full) = (&queue, &not_empty, &not_full);
+        let (slots, results, watchdog) = (&slots, &results, &watchdog);
+        let mut pool = Vec::with_capacity(workers);
+        for wi in 0..workers {
+            pool.push(scope.spawn(move || loop {
                 let idx = {
                     let mut q = queue.lock().unwrap();
                     loop {
@@ -207,23 +255,12 @@ pub fn run_supervised<T: Send>(cfg: &PoolConfig, tasks: Vec<Task<'_, T>>) -> Vec
                 };
                 not_full.notify_one();
                 let task = slots[idx].lock().unwrap().take().expect("task dispatched twice");
-                if let Some(ms) = task.deadline_ms {
-                    *running[idx].lock().unwrap() =
-                        Some(Instant::now() + Duration::from_millis(ms));
-                }
-                let token = &tokens[idx];
-                let outcome = match catch_unwind(AssertUnwindSafe(|| (task.run)(token))) {
+                let outcome = match watchdog.supervise(wi, task.deadline_ms, task.run) {
                     Ok(v) => TaskOutcome::Done(v),
                     Err(payload) => TaskOutcome::Panicked(panic_message(payload.as_ref())),
                 };
-                *running[idx].lock().unwrap() = None;
                 *results[idx].lock().unwrap() = Some(outcome);
-                let mut left = remaining.lock().unwrap();
-                *left -= 1;
-                if *left == 0 {
-                    all_done.notify_one();
-                }
-            });
+            }));
         }
 
         // Streaming submission with backpressure.
@@ -240,6 +277,15 @@ pub fn run_supervised<T: Send>(cfg: &PoolConfig, tasks: Vec<Task<'_, T>>) -> Vec
             queue.lock().unwrap().closed = true;
         }
         not_empty.notify_all();
+        // Wake the watchdog as soon as the last worker exits; a panic in
+        // the pool machinery itself still propagates, once it is stopped.
+        let joined: Vec<_> = pool.into_iter().map(|w| w.join()).collect();
+        watchdog.stop();
+        for j in joined {
+            if let Err(payload) = j {
+                std::panic::resume_unwind(payload);
+            }
+        }
     });
 
     results

@@ -58,20 +58,18 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use spatial_core::model::CancelToken;
 use spatial_core::recovery::BackoffPolicy;
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::job::{execute, FaultCfg, JobKind, JobResult, JobSpec, Outcome};
 use crate::journal::{Journal, RecordKind, Recovered, Snapshot};
 use crate::json::{escape, Json};
-use crate::pool::panic_message;
+use crate::pool::{lock, panic_message, Watchdog};
 use crate::report::{cost_json, percentile};
 use crate::tenant::{DrrScheduler, ExtentCap, RateLimit, Refusal, Submission, TenantConfig};
 
@@ -175,16 +173,6 @@ pub fn drain_requested() -> bool {
 }
 
 static DRAIN: AtomicBool = AtomicBool::new(false);
-
-/// Locks `m`, recovering the guard from a poisoned lock. A worker that
-/// panicked inside the critical section must never take the whole daemon
-/// down with it: the panic is already contained and reported elsewhere
-/// (per-job `catch_unwind`, thread join), and every structure under these
-/// locks is updated in a single assignment or append, so a recovered guard
-/// is safe to keep using.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// [`Condvar::wait`] with the same poison recovery as [`lock`].
 fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
@@ -363,30 +351,13 @@ pub fn serve<R: BufRead, W: Write + Send>(
     });
     let work = Condvar::new();
     let done = Condvar::new();
-    // One watchdog slot per worker: the token and absolute deadline of the
-    // job it is currently running, if that job has a deadline.
-    let slots: Vec<Mutex<Option<(CancelToken, Instant)>>> =
-        (0..workers).map(|_| Mutex::new(None)).collect();
-    let shutdown = AtomicBool::new(false);
+    let watchdog = Watchdog::new(workers);
 
     std::thread::scope(|scope| -> io::Result<()> {
-        scope.spawn(|| {
-            let tick = Duration::from_millis(cfg.watchdog_tick_ms.max(1));
-            while !shutdown.load(Ordering::SeqCst) {
-                std::thread::sleep(tick);
-                let now = Instant::now();
-                for slot in &slots {
-                    if let Some((token, deadline)) = &*lock(slot) {
-                        if now >= *deadline {
-                            token.cancel();
-                        }
-                    }
-                }
-            }
-        });
+        scope.spawn(|| watchdog.run(cfg.watchdog_tick_ms));
         for wi in 0..workers {
-            let (core, work, done, slots) = (&core, &work, &done, &slots);
-            scope.spawn(move || worker_loop(wi, core, work, done, slots, cfg));
+            let (core, work, done, watchdog) = (&core, &work, &done, &watchdog);
+            scope.spawn(move || worker_loop(wi, core, work, done, watchdog, cfg));
         }
 
         // Recovery replay: journaled inputs past the snapshot point go
@@ -478,7 +449,7 @@ pub fn serve<R: BufRead, W: Write + Send>(
         }
         drop(g);
         work.notify_all();
-        shutdown.store(true, Ordering::SeqCst);
+        watchdog.stop();
         read_result
     })?;
 
@@ -571,7 +542,7 @@ fn worker_loop<W: Write + Send>(
     core: &Mutex<Core<W>>,
     work: &Condvar,
     done: &Condvar,
-    slots: &[Mutex<Option<(CancelToken, Instant)>>],
+    watchdog: &Watchdog,
     cfg: &ServeConfig,
 ) {
     loop {
@@ -656,13 +627,10 @@ fn worker_loop<W: Write + Send>(
 
         let mut spec = sub.spec.clone();
         spec.budget = effective;
-        let token = CancelToken::new();
-        if let Some(ms) = spec.deadline_ms.or(cfg.default_deadline_ms) {
-            *lock(&slots[wi]) = Some((token.clone(), Instant::now() + Duration::from_millis(ms)));
-        }
         let started = Instant::now();
-        let executed = catch_unwind(AssertUnwindSafe(|| execute(&spec, &token, &cfg.backoff)));
-        *lock(&slots[wi]) = None;
+        let deadline_ms = spec.deadline_ms.or(cfg.default_deadline_ms);
+        let executed =
+            watchdog.supervise(wi, deadline_ms, |token| execute(&spec, token, &cfg.backoff));
         let mut result = match executed {
             Ok(r) => r,
             Err(payload) => JobResult::panicked(&spec, panic_message(payload.as_ref())),
@@ -1058,6 +1026,17 @@ this is not json
         assert!(lines[2].contains("unknown op"));
         assert_eq!(field(lines[3], "outcome"), "\"ok\"", "daemon kept serving");
         assert_eq!(summary.errors, 2);
+    }
+
+    #[test]
+    fn serving_returns_without_waiting_out_the_watchdog_tick() {
+        let cfg = ServeConfig { workers: 1, watchdog_tick_ms: 10_000, ..Default::default() };
+        let input = r#"{"kind": "scan", "n": 16, "id": "one"}"#;
+        let start = Instant::now();
+        let summary = serve(io::Cursor::new(input), Vec::new(), &cfg).expect("serve I/O");
+        assert_eq!(summary.jobs, 1);
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
     }
 
     #[test]

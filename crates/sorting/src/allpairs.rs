@@ -12,6 +12,7 @@
 //! [`scratch_for`]); the scratch square may overlap resident data — each PE
 //! holds O(1) extra words during the sort, which the model allows.
 
+use collectives::zseg::{broadcast_blocks, reduce_blocks};
 use spatial_model::{zorder, Coord, Machine, Tracked};
 
 /// The aligned Z-offset of a scratch square of at least `cells` cells that
@@ -40,18 +41,6 @@ pub fn allpairs_rank<P: Ord + Clone + Send + Sync>(
     machine: &mut Machine,
     items: Vec<Tracked<P>>,
     scratch_lo: u64,
-) -> Vec<Tracked<(P, u64)>> {
-    allpairs_rank_inner(machine, items, scratch_lo, false)
-}
-
-/// [`allpairs_rank`] with an escape hatch forcing the materializing per-item
-/// phases even on a bare machine — the reference the closed-form kernel is
-/// tested against.
-fn allpairs_rank_inner<P: Ord + Clone + Send + Sync>(
-    machine: &mut Machine,
-    items: Vec<Tracked<P>>,
-    scratch_lo: u64,
-    force_replay: bool,
 ) -> Vec<Tracked<(P, u64)>> {
     let m = items.len() as u64;
     assert!(m > 0, "all-pairs rank of an empty array");
@@ -89,7 +78,7 @@ fn allpairs_rank_inner<P: Ord + Clone + Send + Sync>(
     // charges the exact aggregate Cost and output paths without
     // materializing the O(m·bm) intermediate copies. Any armed instrument
     // takes the materializing path below and observes the per-item stream.
-    if !force_replay && machine.is_bare() && m > 1 {
+    if machine.is_bare() && m > 1 {
         // The stable sort merges presorted runs in linear time, and every
         // sample and window the rank splits send here is two sorted runs.
         let mut order: Vec<usize> = (0..m as usize).collect();
@@ -118,20 +107,15 @@ fn allpairs_rank_inner<P: Ord + Clone + Send + Sync>(
 
     // Step 2 (per-block broadcast): element i floods block i. All blocks
     // advance level by level, one batch per level and quadrant.
-    let bcasts: Vec<Vec<Tracked<P>>> = bcast_all_blocks(
-        machine,
-        corners.iter().map(|c| c.duplicate()).collect(),
-        scratch_lo,
-        bm,
-        bm,
-    );
+    let mut bcasts =
+        broadcast_blocks(machine, corners.iter().map(|c| c.duplicate()).collect(), scratch_lo, bm)
+            .into_iter();
 
     // Step 4 (compare): local, free. 1 if the resident copy element precedes
     // A_i under the total order.
-    let mut per_block_indicators: Vec<Vec<Tracked<u64>>> = Vec::with_capacity(m as usize);
-    for (i, (mine, copy)) in bcasts.into_iter().zip(&block_copies).enumerate() {
-        let mut indicators: Vec<Tracked<u64>> = Vec::with_capacity(bm as usize);
-        for (j, b) in mine.into_iter().enumerate() {
+    let mut indicators: Vec<Tracked<u64>> = Vec::with_capacity((m * bm) as usize);
+    for (i, copy) in block_copies.iter().enumerate() {
+        for (j, b) in bcasts.by_ref().take(bm as usize).enumerate() {
             let ind = if j < copy.len() {
                 copy[j].zip_with(&b, |a_j, a_i| {
                     assert!(a_j != a_i || j == i, "all-pairs rank requires distinct elements");
@@ -143,7 +127,6 @@ fn allpairs_rank_inner<P: Ord + Clone + Send + Sync>(
             machine.discard(b);
             indicators.push(ind);
         }
-        per_block_indicators.push(indicators);
     }
     for copy in block_copies {
         for c in copy {
@@ -153,7 +136,7 @@ fn allpairs_rank_inner<P: Ord + Clone + Send + Sync>(
 
     // Step 5 (reduce): rank = sum of indicators onto each block corner,
     // again level by level across all blocks at once.
-    let ranks = reduce_all_blocks(machine, per_block_indicators, scratch_lo, bm);
+    let ranks = reduce_blocks(machine, indicators, scratch_lo, bm, &|x: &u64, y: &u64| x + y);
 
     corners
         .into_iter()
@@ -251,126 +234,6 @@ fn copy_to_blocks<P: Clone + Send + Sync>(
     frontier.into_iter().map(|(_, copy)| copy).collect()
 }
 
-/// Z-quadrant broadcast inside every block at once, level by level: each
-/// level sends one batch per quadrant across all blocks. `roots[i]` floods
-/// the block at `scratch_lo + i·bm`; returns, per block, one value per cell
-/// indexed by Z-offset. Charges exactly what the per-block recursive
-/// broadcast charges.
-fn bcast_all_blocks<T: Clone + Send + Sync>(
-    machine: &mut Machine,
-    roots: Vec<Tracked<T>>,
-    scratch_lo: u64,
-    bm: u64,
-    len: u64,
-) -> Vec<Vec<Tracked<T>>> {
-    let n_blocks = roots.len();
-    let mut slots: Vec<Vec<Option<Tracked<T>>>> =
-        (0..n_blocks).map(|_| (0..len).map(|_| None).collect()).collect();
-    for (b, root) in roots.into_iter().enumerate() {
-        debug_assert_eq!(root.loc(), zorder::coord_of(scratch_lo + b as u64 * bm));
-        slots[b][0] = Some(root);
-    }
-    // Offsets filled so far (identical in every block); each level copies
-    // all of them one quadrant over, tripling the set.
-    let mut filled: Vec<u64> = vec![0];
-    let mut span = len;
-    while span > 1 {
-        let q = span / 4;
-        for i in 1..4 {
-            let sends: Vec<(&Tracked<T>, Coord)> = slots
-                .iter()
-                .enumerate()
-                .flat_map(|(b, block)| {
-                    let block_lo = scratch_lo + b as u64 * bm;
-                    filled.iter().map(move |&off| {
-                        let src = block[off as usize].as_ref().expect("filled offset");
-                        (src, zorder::coord_of(block_lo + off + i * q))
-                    })
-                })
-                .collect();
-            let mut arrived = machine.send_batch_copy(&sends).into_iter();
-            drop(sends);
-            for block in &mut slots {
-                for &off in &filled {
-                    block[(off + i * q) as usize] = Some(arrived.next().expect("one per send"));
-                }
-            }
-        }
-        let mut next_filled = Vec::with_capacity(filled.len() * 4);
-        for i in 0..4 {
-            next_filled.extend(filled.iter().map(|&off| off + i * q));
-        }
-        next_filled.sort_unstable();
-        filled = next_filled;
-        span = q;
-    }
-    slots
-        .into_iter()
-        .map(|block| block.into_iter().map(|o| o.expect("covered")).collect())
-        .collect()
-}
-
-/// Z-quadrant sum-reduce inside every block at once, bottom-up level by
-/// level; block `b`'s result lands on its corner. Sibling partials are
-/// folded in ascending quadrant order, exactly as the per-block recursion
-/// does. `per_block[b]` holds the leaf values of the block at
-/// `scratch_lo + b·bm`, indexed by Z-offset.
-fn reduce_all_blocks(
-    machine: &mut Machine,
-    per_block: Vec<Vec<Tracked<u64>>>,
-    scratch_lo: u64,
-    bm: u64,
-) -> Vec<Tracked<u64>> {
-    // vals[b][k] is the partial sum of the k-th aligned sub-square of the
-    // current level, resident at that sub-square's corner (Z-offset
-    // k·stride within the block).
-    let mut vals: Vec<Vec<Tracked<u64>>> = per_block;
-    let mut stride = 1u64;
-    while vals.first().is_some_and(|v| v.len() > 1) {
-        let groups = vals[0].len() / 4;
-        // Decompose each group of 4 siblings: the corner partial seeds the
-        // accumulator, the three high siblings travel to the corner — one
-        // batch per sibling index across every group of every block.
-        let mut keep: Vec<Vec<Tracked<u64>>> = Vec::with_capacity(vals.len());
-        let mut sib_sends: [Vec<(Tracked<u64>, Coord)>; 3] =
-            std::array::from_fn(|_| Vec::with_capacity(vals.len() * groups));
-        for (b, block) in vals.into_iter().enumerate() {
-            let block_lo = scratch_lo + b as u64 * bm;
-            let mut it = block.into_iter();
-            let mut corners = Vec::with_capacity(groups);
-            for g in 0..groups {
-                let corner = zorder::coord_of(block_lo + 4 * g as u64 * stride);
-                corners.push(it.next().expect("corner partial"));
-                for s in &mut sib_sends {
-                    s.push((it.next().expect("sibling partial"), corner));
-                }
-            }
-            keep.push(corners);
-        }
-        let mut arrived: Vec<std::vec::IntoIter<Tracked<u64>>> =
-            sib_sends.into_iter().map(|s| machine.send_batch(s).into_iter()).collect();
-        // Fold arrivals into the corner accumulators in ascending sibling
-        // order, exactly as the per-block recursion does.
-        let mut next: Vec<Vec<Tracked<u64>>> = Vec::with_capacity(keep.len());
-        for corners in keep {
-            let mut level: Vec<Tracked<u64>> = Vec::with_capacity(groups);
-            for mut acc in corners {
-                for it in &mut arrived {
-                    let arr = it.next().expect("one arrival per group");
-                    let combined = acc.zip_with(&arr, |x, y| x + y);
-                    machine.discard(arr);
-                    machine.discard(std::mem::replace(&mut acc, combined));
-                }
-                level.push(acc);
-            }
-            next.push(level);
-        }
-        vals = next;
-        stride *= 4;
-    }
-    vals.into_iter().map(|mut v| v.pop().expect("one partial per block")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,13 +320,17 @@ mod tests {
     #[test]
     fn closed_form_kernel_matches_materialized_replay() {
         // The closed-form charge must be bit-identical to the per-item
-        // level-order phases: same Cost report, same output values, ranks,
-        // locations and critical paths — for every size class (power of
-        // four, just above, just below, tiny), up to bm = 1024 blocks.
+        // level-order phases a traced machine replays: same Cost report,
+        // same output values, ranks, locations and critical paths — for
+        // every size class (power of four, just above, just below, tiny), up
+        // to bm = 1024 blocks.
         for n in [2usize, 3, 4, 5, 7, 13, 16, 17, 29, 40, 64, 65, 255, 256, 257] {
             let vals: Vec<i64> = (0..n as i64).map(|i| (i * 131) % 257 - 60).collect();
-            let run = |force: bool| {
+            let run = |traced: bool| {
                 let mut m = Machine::new();
+                if traced {
+                    m.enable_trace(0); // armed, so every message is replayed; keeps no records
+                }
                 // Pre-route the inputs so staged paths are heterogeneous.
                 let placed = place_z(&mut m, 0, vals.clone());
                 let items: Vec<_> = placed
@@ -481,11 +348,15 @@ mod tests {
                     .collect();
                 let items = attach_uids(items);
                 let bm = zorder::next_power_of_four(n as u64);
-                let ranked = allpairs_rank_inner(&mut m, items, scratch_for(0, bm * bm), force);
+                let ranked = allpairs_rank(&mut m, items, scratch_for(0, bm * bm));
                 let outs: Vec<(i64, u64, u64, spatial_model::Coord, spatial_model::Path)> = ranked
                     .iter()
                     .map(|t| (t.value().0.key, t.value().0.uid, t.value().1, t.loc(), t.path()))
                     .collect();
+                if traced {
+                    let replayed = m.trace().expect("trace armed").dropped();
+                    assert_eq!(replayed, m.messages(), "n = {n}: every message replayed");
+                }
                 (m.report(), outs)
             };
             let (fast_cost, fast_out) = run(false);

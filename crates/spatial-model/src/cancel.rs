@@ -2,17 +2,17 @@
 //!
 //! A [`CancelToken`] is a cheap, clonable flag shared between a simulation
 //! and its supervisor (a deadline watchdog, a batch runner shutting down, an
-//! interactive user). The [`crate::Machine`] checks the token on every
-//! placement and send and latches a typed
-//! [`crate::SpatialError::Cancelled`] at the first one after the token
-//! trips.
+//! interactive user). [`crate::Machine::guarded`] reads the token once, when
+//! its closure returns, and latches a typed
+//! [`crate::SpatialError::Cancelled`] if it has been tripped. No placement or
+//! send reads it, so a token is not an instrument: a machine carrying one
+//! stays bare ([`crate::Machine::is_bare`]) and runs the closed-form kernels.
 //!
-//! Cancellation is *cooperative* and latching does not stop the run: a
-//! primitive never checks the latch mid-recursion, so a cancelled attempt
-//! runs to completion before [`crate::Machine::guarded`] reports
-//! `Cancelled` (Rust has no safe thread kill). A caller that must stop
-//! promptly checks the latch itself between messages, e.g. with one
-//! `guarded` call per send.
+//! Cancellation is *cooperative* and does not stop the run: a primitive runs
+//! to completion inside its `guarded` call before `Cancelled` is reported
+//! (Rust has no safe thread kill). A caller that must stop promptly guards
+//! each send separately, and then stops within one message of the token
+//! tripping.
 //!
 //! The token carries no deadline of its own — *when* to cancel is the
 //! supervisor's policy (see the `runner` crate's watchdog). This keeps the

@@ -88,8 +88,8 @@ pub enum SpatialError {
         budget: u64,
     },
     /// The run's [`crate::CancelToken`] was tripped (deadline watchdog,
-    /// batch shutdown, user interrupt) and the simulation observed it at its
-    /// next placement or send.
+    /// batch shutdown, user interrupt) and [`crate::Machine::guarded`] read
+    /// it when its closure returned.
     Cancelled,
     /// An instrumentation accessor was used on a machine that never enabled
     /// that instrument (e.g. reading the trace without

@@ -161,6 +161,16 @@ impl FaultPlan {
         Rng::stream(self.seed ^ (u64::from(self.attempt) << 32), SALT_MESSAGES)
     }
 
+    /// Whether the plan injects nothing: no dead rows, dead PEs, degraded
+    /// rows or flaky rate. Such a plan charges every message its logical
+    /// distance and draws nothing.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.dead_rows.is_empty()
+            && self.dead_pes.is_empty()
+            && self.degraded_rows.is_empty()
+            && !self.has_transient_faults()
+    }
+
     /// Whether the plan injects transient (per-message) faults at all.
     pub(crate) fn has_transient_faults(&self) -> bool {
         self.flaky_millis > 0

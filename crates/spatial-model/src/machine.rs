@@ -131,12 +131,6 @@ impl Machine {
         });
     }
 
-    /// Enables per-PE memory metering with dense counters over `extent`
-    /// (see [`MemMeter::with_extent`]) without requiring a guard.
-    pub fn enable_memory_meter_bounded(&mut self, extent: crate::grid::SubGrid) {
-        self.mem = Some(MemMeter::with_extent(extent));
-    }
-
     /// Enables message tracing with the given record cap.
     pub fn enable_trace(&mut self, cap: usize) {
         self.trace = Some(Trace::with_cap(cap));
@@ -147,7 +141,16 @@ impl Machine {
     /// between the remapped *physical* PEs, so dead-row detours and
     /// degraded links show up in energy/distance. Enable before placing the
     /// input so placements are fault-checked too.
+    ///
+    /// A plan with no dead rows, dead PEs, degraded rows or flaky rate
+    /// leaves the machine bare ([`Machine::is_bare`]): it would charge every
+    /// message its logical distance and draw nothing, so the closed-form
+    /// kernels charge the same costs.
     pub fn enable_faults(&mut self, plan: FaultPlan) {
+        if plan.is_empty() {
+            self.faults = None;
+            return;
+        }
         let rng = plan.message_rng();
         let remap = plan.row_remap();
         let has_dead_pes = plan.has_dead_pes();
@@ -171,32 +174,18 @@ impl Machine {
     }
 
     /// Attaches a cooperative cancellation token (see [`CancelToken`]).
-    /// Once the token is tripped, the next placement or send latches
-    /// [`SpatialError::Cancelled`]. The run itself continues to completion;
-    /// a caller that checks the latch between messages (through
-    /// [`Machine::guarded`]) stops at its next message.
+    /// [`Machine::guarded`] reads it once, when its closure returns, and
+    /// latches [`SpatialError::Cancelled`] if it has been tripped. A token
+    /// is not an instrument: it never observes a message, so the machine
+    /// stays bare. A caller that must stop within one message of the token
+    /// tripping guards each send separately.
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.cancel = Some(token);
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
     }
 
     /// The active memory meter, if enabled.
     pub fn memory(&self) -> Option<&MemMeter> {
         self.mem.as_ref()
-    }
-
-    /// The active memory meter, or a typed
-    /// [`SpatialError::InstrumentationDisabled`] usage error when
-    /// [`Machine::enable_memory_meter`] was never called — for drivers that
-    /// must report a misconfiguration instead of panicking on `unwrap`.
-    pub fn require_memory(&self) -> Result<&MemMeter, SpatialError> {
-        self.mem.as_ref().ok_or(SpatialError::InstrumentationDisabled {
-            what: "memory meter (call Machine::enable_memory_meter before placing the input)",
-        })
     }
 
     /// The active trace, if enabled.
@@ -212,16 +201,6 @@ impl Machine {
         self.trace.as_ref().ok_or(SpatialError::InstrumentationDisabled {
             what: "message trace (call Machine::enable_trace before running the algorithm)",
         })
-    }
-
-    /// The active fault plan, if enabled.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| &f.plan)
-    }
-
-    /// The active guard, if enabled.
-    pub fn guard(&self) -> Option<&ModelGuard> {
-        self.guard.as_ref()
     }
 
     /// Number of fault contacts so far: transiently corrupted messages plus
@@ -253,12 +232,17 @@ impl Machine {
     /// `Err` if a violation was already latched before the call or if `f`
     /// latches one, `Ok(f(self))` otherwise. This is how callers run a whole
     /// primitive (`m.guarded(|m| sort_z(m, 0, items))`) or a single send
-    /// fallibly without threading `Result` through the recursion.
+    /// fallibly without threading `Result` through the recursion. When `f`
+    /// returns, a tripped cancel token (see [`Machine::set_cancel_token`])
+    /// latches [`SpatialError::Cancelled`].
     pub fn guarded<R>(&mut self, f: impl FnOnce(&mut Machine) -> R) -> Result<R, SpatialError> {
         if let Some(e) = &self.violation {
             return Err(e.clone());
         }
         let out = f(self);
+        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            self.latch(SpatialError::Cancelled);
+        }
         match &self.violation {
             Some(e) => Err(e.clone()),
             None => Ok(out),
@@ -269,9 +253,6 @@ impl Machine {
     /// problem statement, not of the algorithm's cost). Guard/fault
     /// violations are latched (see [`Machine::violation`]).
     pub fn place<T>(&mut self, loc: Coord, value: T) -> Tracked<T> {
-        if let Some(e) = self.cancel_violation() {
-            self.latch(e);
-        }
         if let Some(e) = self.target_violation(loc) {
             self.latch_target(e);
         }
@@ -339,14 +320,13 @@ impl Machine {
     /// cost kernels (see [`crate::kernels`]) are only valid on a bare
     /// machine; with any instrument armed, algorithms must run the
     /// materializing per-item path so the instrument observes the exact
-    /// open-coded event stream.
+    /// open-coded event stream. The instruments are the memory meter, the
+    /// trace, a fault plan that injects something (an empty one is dropped
+    /// by [`Machine::enable_faults`]) and the guard. A cancel token and a
+    /// cost profile are not instruments.
     #[inline]
     pub fn is_bare(&self) -> bool {
-        self.mem.is_none()
-            && self.trace.is_none()
-            && self.faults.is_none()
-            && self.guard.is_none()
-            && self.cancel.is_none()
+        self.mem.is_none() && self.trace.is_none() && self.faults.is_none() && self.guard.is_none()
     }
 
     /// Adds a closed-form energy total, clamping exactly where the serial
@@ -388,7 +368,7 @@ impl Machine {
     /// sharded across workers for large batches ([`crate::sim_threads`]),
     /// with shard partials merged in fixed order so costs are bit-identical
     /// at any thread count. With any instrumentation active (meter, trace,
-    /// faults, guard, cancellation) each pair goes through the ordinary
+    /// faults, guard) each pair goes through the ordinary
     /// `move_to` path, so batching never changes what instruments observe.
     pub fn send_batch<T: Send>(&mut self, items: Vec<(Tracked<T>, Coord)>) -> Vec<Tracked<T>> {
         if !self.is_bare() {
@@ -532,15 +512,6 @@ impl Machine {
         self.latch(e);
     }
 
-    /// The cancellation violation, if the attached token has been tripped.
-    #[inline]
-    fn cancel_violation(&self) -> Option<SpatialError> {
-        match &self.cancel {
-            Some(token) if token.is_cancelled() => Some(SpatialError::Cancelled),
-            _ => None,
-        }
-    }
-
     /// The dead-PE / out-of-bounds violation for targeting `dst`, if any.
     #[inline]
     fn target_violation(&self, dst: Coord) -> Option<SpatialError> {
@@ -583,9 +554,6 @@ impl Machine {
         dst: Coord,
         owned: bool,
     ) -> Tracked<T> {
-        if let Some(e) = self.cancel_violation() {
-            self.latch(e);
-        }
         if let Some(e) = self.target_violation(dst) {
             self.latch_target(e);
         }
@@ -890,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn tripped_token_latches_cancelled_at_the_next_place_or_send() {
+    fn tripped_token_latches_cancelled_when_guarded_returns() {
         let mut m = Machine::new();
         let token = CancelToken::new();
         m.set_cancel_token(token.clone());
@@ -907,15 +875,25 @@ mod tests {
     }
 
     #[test]
-    fn require_trace_and_memory_report_instead_of_panicking() {
+    fn token_and_empty_fault_plan_leave_the_machine_bare() {
+        let mut m = Machine::new();
+        m.enable_faults(FaultPlan::builder(7).build());
+        assert!(m.is_bare(), "an empty plan observes nothing");
+        m.set_cancel_token(CancelToken::new());
+        assert!(m.is_bare(), "a token is read by guarded, not per message");
+        m.enable_faults(FaultPlan::builder(7).flaky(0.001).build());
+        assert!(!m.is_bare(), "a plan that injects faults is an instrument");
+        m.enable_faults(FaultPlan::builder(7).build().for_attempt(3));
+        assert!(m.is_bare(), "an empty plan replaces the armed one");
+    }
+
+    #[test]
+    fn require_trace_reports_instead_of_panicking() {
         let m = Machine::new();
         assert!(matches!(m.require_trace(), Err(SpatialError::InstrumentationDisabled { .. })));
-        assert!(matches!(m.require_memory(), Err(SpatialError::InstrumentationDisabled { .. })));
         let mut m = Machine::new();
         m.enable_trace(4);
-        m.enable_memory_meter();
         assert!(m.require_trace().is_ok());
-        assert!(m.require_memory().is_ok());
     }
 
     #[test]

@@ -21,28 +21,29 @@ use crate::matrix::Coo;
 use crate::Scalar;
 
 /// One COO triple during the spatial computation; ordered by `(key, uid)`
-/// where `key` is set to the column (phase 1) or row (phase 5) index.
+/// where `key` is set to the column (phase 1) or row (phase 5) index. `val`
+/// is the matrix value before the multiply and the product after it.
 #[derive(Clone, Debug)]
-struct Entry<V> {
+struct Entry<P> {
     key: u32,
     row: u32,
     col: u32,
-    val: V,
+    val: P,
     uid: u64,
 }
 
-impl<V> PartialEq for Entry<V> {
+impl<P> PartialEq for Entry<P> {
     fn eq(&self, o: &Self) -> bool {
         (self.key, self.uid) == (o.key, o.uid)
     }
 }
-impl<V> Eq for Entry<V> {}
-impl<V> PartialOrd for Entry<V> {
+impl<P> Eq for Entry<P> {}
+impl<P> PartialOrd for Entry<P> {
     fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(o))
     }
 }
-impl<V> Ord for Entry<V> {
+impl<P> Ord for Entry<P> {
     fn cmp(&self, o: &Self) -> std::cmp::Ordering {
         (self.key, self.uid).cmp(&(o.key, o.uid))
     }
@@ -75,10 +76,58 @@ pub struct SpmvOutput<V> {
 /// ```
 pub fn spmv<V: Scalar>(machine: &mut Machine, a: &Coo<V>, x: &[V]) -> SpmvOutput<V> {
     assert_eq!(x.len(), a.n_cols, "dimension mismatch");
+    let (y, cost) = pipeline(machine, a, x.to_vec(), V::default(), |v, x| v * *x, |a, b| *a + *b);
+    SpmvOutput { y, cost }
+}
+
+/// Sparse matrix × multiple vectors (SpM-multi-V, the paper's citation
+/// \[13\]): computes `y_c = A·x_c` for all `d` channels in **one** pass.
+///
+/// This is the [`spmv`] pipeline with a `d`-word payload per vector cell:
+/// the sorts, leader elections and scans — the `Θ(m^{3/2})` terms — are
+/// shared across channels; only the fetched payloads grow to `d` words per
+/// message (still O(1) for a constant channel count, e.g. GNN feature
+/// widths). Compared with `d` independent [`spmv`] calls this removes
+/// `d − 1` sorts; the `fig_spmm` benchmark quantifies the saving.
+pub fn spmv_multi<V: Scalar>(
+    machine: &mut Machine,
+    a: &Coo<V>,
+    xs: &[Vec<V>],
+) -> (Vec<Vec<V>>, Cost) {
+    let d = xs.len();
+    assert!(d >= 1, "at least one channel");
+    for x in xs {
+        assert_eq!(x.len(), a.n_cols, "dimension mismatch");
+    }
+    let cells = (0..a.n_cols).map(|j| xs.iter().map(|x| x[j]).collect()).collect();
+    let (rows, cost) = pipeline(
+        machine,
+        a,
+        cells,
+        vec![V::default(); d],
+        |v, x: &Vec<V>| x.iter().map(|&x| v * x).collect(),
+        |a, b| a.iter().zip(b).map(|(&x, &y)| x + y).collect(),
+    );
+    ((0..d).map(|c| rows.iter().map(|y| y[c]).collect()).collect(), cost)
+}
+
+/// The §VIII pipeline behind [`spmv`] and [`spmv_multi`]: `x[j]` is the
+/// payload vector cell `j` holds (one word for [`spmv`], `d` for
+/// [`spmv_multi`]), `mul` scales a payload by a matrix value and `add` sums
+/// two payloads. Returns one payload per row (`zero` for an empty row) and
+/// the cost.
+fn pipeline<V: Scalar, P: Clone + Send + Sync>(
+    machine: &mut Machine,
+    a: &Coo<V>,
+    x: Vec<P>,
+    zero: P,
+    mul: impl Fn(V, &P) -> P,
+    add: impl Fn(&P, &P) -> P,
+) -> (Vec<P>, Cost) {
     let m = a.nnz() as u64;
     let n = a.n_cols as u64;
     if m == 0 {
-        return SpmvOutput { y: vec![V::default(); a.n_rows], cost: Cost::default() };
+        return (vec![zero; a.n_rows], Cost::default());
     }
     let m_pad = zorder::next_power_of_four(m);
     let n_pad = zorder::next_power_of_four(n.max(1));
@@ -98,14 +147,13 @@ pub fn spmv<V: Scalar>(machine: &mut Machine, a: &Coo<V>, x: &[V]) -> SpmvOutput
             .collect(),
         |i| zorder::coord_of(i as u64),
     );
-    let xs: Vec<Tracked<V>> =
-        machine.place_batch(x.to_vec(), |j| zorder::coord_of(x_lo + j as u64));
+    let xs: Vec<Tracked<P>> = machine.place_batch(x, |j| zorder::coord_of(x_lo + j as u64));
 
     // Step 1: sort by column.
     let sorted = sort_z(machine, 0, entries);
 
     // Step 2: column leaders (first processor of each column group).
-    let leaders = elect_leaders(machine, &sorted, |e| e.key);
+    let leaders = elect_leaders_by(machine, &sorted, |e| e.key);
 
     // Step 3: leaders fetch x_j; segmented broadcast over the groups. The
     // fetch runs in two batched waves — all requests to the vector subgrid,
@@ -122,47 +170,47 @@ pub fn spmv<V: Scalar>(machine: &mut Machine, a: &Coo<V>, x: &[V]) -> SpmvOutput
         })
         .collect();
     let arrived = machine.send_batch(requests);
-    let responses: Vec<(Tracked<V>, Coord)> = sorted
+    let responses: Vec<(Tracked<P>, Coord)> = sorted
         .iter()
         .enumerate()
         .filter(|&(i, _)| leaders[i])
         .zip(arrived)
         .map(|((_, e), request)| {
             let col = e.value().col as usize;
-            let response = xs[col].zip_with(&request, |v, _| *v);
+            let response = xs[col].zip_with(&request, |v, _| v.clone());
             machine.discard(request);
             (response, e.loc())
         })
         .collect();
     let mut fetched = machine.send_batch(responses).into_iter();
-    let mut seg: Vec<Tracked<SegItem<V>>> = Vec::with_capacity(m_pad as usize);
+    let mut seg: Vec<Tracked<SegItem<P>>> = Vec::with_capacity(m_pad as usize);
     for (i, e) in sorted.iter().enumerate() {
         if leaders[i] {
             let response = fetched.next().expect("one response per leader");
             seg.push(response.map(|v| SegItem::new(true, v)));
         } else {
-            seg.push(e.with_value(SegItem::new(false, V::default())));
+            seg.push(e.with_value(SegItem::new(false, zero.clone())));
         }
     }
     seg.extend(
-        machine.place_batch(vec![SegItem::new(true, V::default()); (m_pad - m) as usize], |i| {
+        machine.place_batch(vec![SegItem::new(true, zero.clone()); (m_pad - m) as usize], |i| {
             zorder::coord_of(m + i as u64)
         }),
     );
-    let xvals = segmented_scan(machine, 0, seg, &|a: &V, _| *a);
+    let xvals = segmented_scan(machine, 0, seg, &|a: &P, _| a.clone());
     for x in xs {
         machine.discard(x);
     }
 
     // Step 4: local partial products; re-key by row for the second sort.
-    let mut products: Vec<Tracked<Entry<V>>> = Vec::with_capacity(m as usize);
+    let mut products: Vec<Tracked<Entry<P>>> = Vec::with_capacity(m as usize);
     for (i, e) in sorted.into_iter().enumerate() {
         if (i as u64) < m {
             let p = e.zip_with(&xvals[i], |en, xv| Entry {
                 key: en.row,
                 row: en.row,
                 col: en.col,
-                val: en.val * *xv,
+                val: mul(en.val, xv),
                 uid: en.uid,
             });
             machine.discard(e);
@@ -180,18 +228,18 @@ pub fn spmv<V: Scalar>(machine: &mut Machine, a: &Coo<V>, x: &[V]) -> SpmvOutput
 
     // Step 6: row leaders + segmented sum; the *last* element of each group
     // holds the row total after the inclusive scan.
-    let leaders = elect_leaders(machine, &by_row, |e| e.key);
-    let mut seg: Vec<Tracked<SegItem<V>>> = by_row
+    let leaders = elect_leaders_by(machine, &by_row, |e| e.key);
+    let mut seg: Vec<Tracked<SegItem<P>>> = by_row
         .iter()
         .enumerate()
-        .map(|(i, e)| e.with_value(SegItem::new(leaders[i], e.value().val)))
+        .map(|(i, e)| e.with_value(SegItem::new(leaders[i], e.value().val.clone())))
         .collect();
     seg.extend(
-        machine.place_batch(vec![SegItem::new(true, V::default()); (m_pad - m) as usize], |i| {
+        machine.place_batch(vec![SegItem::new(true, zero.clone()); (m_pad - m) as usize], |i| {
             zorder::coord_of(m + i as u64)
         }),
     );
-    let sums = segmented_scan(machine, 0, seg, &|a: &V, b: &V| *a + *b);
+    let sums = segmented_scan(machine, 0, seg, &add);
 
     // Step 7: the final element of each row group routes the result to the
     // output vector subgrid — one batch (the output subgrid is disjoint from
@@ -202,16 +250,16 @@ pub fn spmv<V: Scalar>(machine: &mut Machine, a: &Coo<V>, x: &[V]) -> SpmvOutput
         .filter(|&(i, _)| i + 1 == m as usize || leaders[i + 1])
         .map(|(_, e)| e.value().row as usize)
         .collect();
-    let row_sends: Vec<(Tracked<V>, Coord)> = by_row
+    let row_sends: Vec<(Tracked<P>, Coord)> = by_row
         .iter()
         .enumerate()
         .filter(|&(i, _)| i + 1 == m as usize || leaders[i + 1])
         .map(|(i, e)| (sums[i].duplicate(), zorder::coord_of(y_lo + e.value().row as u64)))
         .collect();
     let routed_rows = machine.send_batch(row_sends);
-    let mut y_cells: Vec<Option<Tracked<V>>> = (0..a.n_rows).map(|_| None).collect();
+    let mut y = vec![zero; a.n_rows];
     for (row, routed) in last_rows.into_iter().zip(routed_rows) {
-        y_cells[row] = Some(routed);
+        y[row] = routed.into_value();
     }
     for s in sums {
         machine.discard(s);
@@ -220,196 +268,12 @@ pub fn spmv<V: Scalar>(machine: &mut Machine, a: &Coo<V>, x: &[V]) -> SpmvOutput
         machine.discard(e);
     }
 
-    let y: Vec<V> =
-        y_cells.into_iter().map(|c| c.map_or(V::default(), |t| t.into_value())).collect();
-    let cost = machine.report() - before;
-    SpmvOutput { y, cost }
+    (y, machine.report() - before)
 }
 
-/// An entry plus its per-channel products; ordered by the entry (distinct
-/// via uid), so the row sort works on any scalar payload.
-#[derive(Clone, Debug)]
-struct MultiEntry<V> {
-    entry: Entry<V>,
-    prods: Vec<V>,
-}
-impl<V> PartialEq for MultiEntry<V> {
-    fn eq(&self, o: &Self) -> bool {
-        self.entry == o.entry
-    }
-}
-impl<V> Eq for MultiEntry<V> {}
-impl<V> Ord for MultiEntry<V> {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        self.entry.cmp(&o.entry)
-    }
-}
-impl<V> PartialOrd for MultiEntry<V> {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-
-/// Sparse matrix × multiple vectors (SpM-multi-V, the paper's citation
-/// \[13\]): computes `y_c = A·x_c` for all `d` channels in **one** pass.
-///
-/// The sorts, leader elections and scans — the `Θ(m^{3/2})` terms — are
-/// shared across channels; only the fetched payloads grow to `d` words per
-/// message (still O(1) for a constant channel count, e.g. GNN feature
-/// widths). Compared with `d` independent [`spmv`] calls this removes
-/// `d − 1` sorts; the `fig_spmm` benchmark quantifies the saving.
-pub fn spmv_multi<V: Scalar>(
-    machine: &mut Machine,
-    a: &Coo<V>,
-    xs: &[Vec<V>],
-) -> (Vec<Vec<V>>, Cost) {
-    let d = xs.len();
-    assert!(d >= 1, "at least one channel");
-    for x in xs {
-        assert_eq!(x.len(), a.n_cols, "dimension mismatch");
-    }
-    let m = a.nnz() as u64;
-    let n = a.n_cols as u64;
-    if m == 0 {
-        return (vec![vec![V::default(); a.n_rows]; d], Cost::default());
-    }
-    let m_pad = zorder::next_power_of_four(m);
-    let n_pad = zorder::next_power_of_four(n.max(1));
-    let x_lo = m_pad.div_ceil(n_pad) * n_pad;
-    let y_lo = x_lo + n_pad;
-
-    let before = machine.report();
-
-    // Entries carry their value; the vector cells hold all d channel values.
-    let entries: Vec<Tracked<Entry<V>>> = machine.place_batch(
-        a.entries
-            .iter()
-            .enumerate()
-            .map(|(i, &(row, col, val))| Entry { key: col, row, col, val, uid: i as u64 })
-            .collect(),
-        |i| zorder::coord_of(i as u64),
-    );
-    let xcells: Vec<Tracked<Vec<V>>> = machine.place_batch(
-        (0..a.n_cols).map(|j| xs.iter().map(|x| x[j]).collect::<Vec<V>>()).collect(),
-        |j| zorder::coord_of(x_lo + j as u64),
-    );
-
-    // Shared: sort by column, elect leaders, fetch + segment-broadcast the
-    // d-word x payloads (two batched waves, as in [`spmv`]).
-    let sorted = sort_z(machine, 0, entries);
-    let leaders = elect_leaders(machine, &sorted, |e| e.key);
-    let requests: Vec<(Tracked<usize>, Coord)> = sorted
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| leaders[i])
-        .map(|(_, e)| {
-            let col = e.value().col as usize;
-            (e.with_value(col), xcells[col].loc())
-        })
-        .collect();
-    let arrived = machine.send_batch(requests);
-    let responses: Vec<(Tracked<Vec<V>>, Coord)> = sorted
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| leaders[i])
-        .zip(arrived)
-        .map(|((_, e), request)| {
-            let col = e.value().col as usize;
-            let response = xcells[col].zip_with(&request, |v, _| v.clone());
-            machine.discard(request);
-            (response, e.loc())
-        })
-        .collect();
-    let mut fetched = machine.send_batch(responses).into_iter();
-    let mut seg: Vec<Tracked<SegItem<Vec<V>>>> = Vec::with_capacity(m_pad as usize);
-    for (i, e) in sorted.iter().enumerate() {
-        if leaders[i] {
-            let response = fetched.next().expect("one response per leader");
-            seg.push(response.map(|v| SegItem::new(true, v)));
-        } else {
-            seg.push(e.with_value(SegItem::new(false, vec![V::default(); d])));
-        }
-    }
-    seg.extend(
-        machine.place_batch(
-            vec![SegItem::new(true, vec![V::default(); d]); (m_pad - m) as usize],
-            |i| zorder::coord_of(m + i as u64),
-        ),
-    );
-    let xvals = segmented_scan(machine, 0, seg, &|a: &Vec<V>, _| a.clone());
-    for x in xcells {
-        machine.discard(x);
-    }
-
-    // Local products (a d-vector per entry), re-keyed by row.
-    let mut products: Vec<Tracked<MultiEntry<V>>> = Vec::with_capacity(m as usize);
-    for (i, e) in sorted.into_iter().enumerate() {
-        if (i as u64) < m {
-            let p = e.zip_with(&xvals[i], |en, xv| MultiEntry {
-                entry: Entry { key: en.row, row: en.row, col: en.col, val: en.val, uid: en.uid },
-                prods: xv.iter().map(|&x| en.val * x).collect(),
-            });
-            machine.discard(e);
-            products.push(p);
-        } else {
-            machine.discard(e);
-        }
-    }
-    for v in xvals {
-        machine.discard(v);
-    }
-
-    // Shared row sort + segmented vector-sum.
-    let by_row = sort_z(machine, 0, products);
-    let leaders = elect_leaders_by(machine, &by_row, |me: &MultiEntry<V>| me.entry.key);
-    let mut seg: Vec<Tracked<SegItem<Vec<V>>>> = by_row
-        .iter()
-        .enumerate()
-        .map(|(i, e)| e.with_value(SegItem::new(leaders[i], e.value().prods.clone())))
-        .collect();
-    seg.extend(
-        machine.place_batch(
-            vec![SegItem::new(true, vec![V::default(); d]); (m_pad - m) as usize],
-            |i| zorder::coord_of(m + i as u64),
-        ),
-    );
-    let sums = segmented_scan(machine, 0, seg, &|a: &Vec<V>, b: &Vec<V>| {
-        a.iter().zip(b).map(|(&x, &y)| x + y).collect()
-    });
-
-    let last_rows: Vec<usize> = by_row
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i + 1 == m as usize || leaders[i + 1])
-        .map(|(_, e)| e.value().entry.row as usize)
-        .collect();
-    let row_sends: Vec<(Tracked<Vec<V>>, Coord)> = by_row
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i + 1 == m as usize || leaders[i + 1])
-        .map(|(i, e)| (sums[i].duplicate(), zorder::coord_of(y_lo + e.value().entry.row as u64)))
-        .collect();
-    let routed_rows = machine.send_batch(row_sends);
-    let mut ys = vec![vec![V::default(); a.n_rows]; d];
-    for (row, routed) in last_rows.into_iter().zip(routed_rows) {
-        for (c, y) in ys.iter_mut().enumerate() {
-            y[row] = routed.value()[c];
-        }
-        machine.discard(routed);
-    }
-    for s in sums {
-        machine.discard(s);
-    }
-    for e in by_row {
-        machine.discard(e);
-    }
-
-    (ys, machine.report() - before)
-}
-
-/// Leader election for arbitrary payloads (shared by [`spmv_multi`]): every
-/// processor `i > 0` receives a copy of its predecessor's value in one
-/// batch, then compares locally.
+/// Leader election by neighbour comparison (paper step 2): every processor
+/// `i > 0` receives a copy of its predecessor's value in one batch and
+/// leads iff the keys differ (processor 0 always leads).
 fn elect_leaders_by<T: Clone + Send + Sync>(
     machine: &mut Machine,
     sorted: &[Tracked<T>],
@@ -430,17 +294,6 @@ fn elect_leaders_by<T: Clone + Send + Sync>(
         machine.discard(flag);
     }
     leaders
-}
-
-/// Leader election by neighbour comparison (paper step 2): processor `i`
-/// receives the key of processor `i-1`; it leads iff the keys differ (or
-/// `i = 0`).
-fn elect_leaders<V: Scalar>(
-    machine: &mut Machine,
-    sorted: &[Tracked<Entry<V>>],
-    key: impl Fn(&Entry<V>) -> u32,
-) -> Vec<bool> {
-    elect_leaders_by(machine, sorted, key)
 }
 
 #[cfg(test)]
@@ -582,6 +435,36 @@ mod tests {
             multi_cost.energy,
             ms.energy()
         );
+    }
+
+    #[test]
+    fn one_channel_multi_is_spmv() {
+        // Both wrappers run the one pipeline: one channel must give the same
+        // product, the same Cost and the same per-PE memory peak.
+        let square = [1usize, 3, 16, 64, 256].map(|n| pseudo_matrix(n, 4, n as u64));
+        let shaped = [
+            Coo::new(8, 3, vec![(0, 0, 1i64), (5, 2, 4), (7, 1, -2), (3, 0, 9)]),
+            Coo::new(2, 9, vec![(0, 8, 3i64), (1, 0, 2), (1, 7, 1)]),
+            Coo::new(5, 4, vec![]),
+            Coo::new(0, 3, vec![]),
+        ];
+        for a in square.into_iter().chain(shaped) {
+            let x: Vec<i64> = (0..a.n_cols as i64).map(|i| i % 5 - 2).collect();
+            let metered = || {
+                let mut m = Machine::new();
+                m.enable_memory_meter();
+                m
+            };
+            let mut ms = metered();
+            let single = spmv(&mut ms, &a, &x);
+            let mut mm = metered();
+            let (ys, multi_cost) = spmv_multi(&mut mm, &a, std::slice::from_ref(&x));
+            let shape = format!("{}x{} nnz {}", a.n_rows, a.n_cols, a.nnz());
+            assert_eq!(ys, vec![single.y], "{shape}: y");
+            assert_eq!(multi_cost, single.cost, "{shape}: cost");
+            let peak = |m: &Machine| m.memory().expect("metered").peak();
+            assert_eq!(peak(&mm), peak(&ms), "{shape}: memory peak");
+        }
     }
 
     #[test]

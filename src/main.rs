@@ -309,9 +309,10 @@ struct Outcome<T> {
 }
 
 /// Arms the wall-clock watchdog for `--timeout`: a detached thread that
-/// trips the returned token after the deadline. The simulator checks the
-/// token cooperatively on every place/send, so a cancelled run surfaces
-/// [`SpatialError::Cancelled`] (exit 9) instead of hanging.
+/// trips the returned token after the deadline. `Machine::guarded` reads the
+/// token when its closure returns, so a cancelled run surfaces
+/// [`SpatialError::Cancelled`] (exit 9) when its attempt ends and is not
+/// retried.
 fn arm_watchdog(timeout_ms: Option<u64>) -> Option<CancelToken> {
     timeout_ms.map(|ms| {
         let token = CancelToken::new();

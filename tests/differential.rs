@@ -4,6 +4,7 @@
 //! hermetic replacement for the old crates.io-powered fuzzing setup.
 
 use spatial_dataflow::check::{check_cfg, Config, Gen};
+use spatial_dataflow::collectives::zseg::{broadcast_blocks, reduce_blocks};
 use spatial_dataflow::collectives::{broadcast_z, place_row_major, reduce_z, scan_any};
 use spatial_dataflow::model::zorder;
 use spatial_dataflow::prelude::*;
@@ -452,6 +453,67 @@ fn differential_level_kernels_match_the_replay_on_unaligned_ranges() {
         (0..16).map(|_| (rng.gen_range(0u64..5000), rng.gen_range(1u64..700))).collect();
     for (lo, n) in fixed.into_iter().chain(drawn) {
         assert_collectives_match_replay(&mut rng, lo, n);
+    }
+}
+
+/// zseg's multi-block replays, which All-Pairs Sort floods and sums all its
+/// blocks with, against one trace-armed `broadcast_z` / `reduce_z` call per
+/// block: the same `(value, loc, path)` for every output and the same cost.
+#[test]
+fn differential_multi_block_replay_matches_one_block_calls() {
+    let parts = |out: Vec<Tracked<String>>| -> Vec<(Coord, Path, String)> {
+        out.into_iter().map(|t| (t.loc(), t.path(), t.into_value())).collect()
+    };
+    let traced = || {
+        let mut m = Machine::new();
+        m.enable_trace(0);
+        m
+    };
+    // A root that reaches its block corner over a detour, so roots carry
+    // non-zero paths.
+    let root_at = |m: &mut Machine, corner: u64, v: &String| {
+        let home = zorder::coord_of(corner);
+        let r = m.place(home.offset(3, -2), v.clone());
+        m.send_owned(r, home)
+    };
+    let mut rng = Rng::seed_from_u64(0xB10C);
+    for k in [1u64, 2, 5] {
+        for len in [1u64, 4, 16, 64] {
+            let (lo, at) = (3 * len, format!("k={k} len={len}"));
+            let block_lo = |b: u64| lo + b * len;
+            let roots: Vec<String> =
+                (0..k).map(|_| rng.gen_range(0i64..1 << 40).to_string()).collect();
+            let leaves = letters(&mut rng, k * len);
+
+            let mut multi = traced();
+            let rs = (0..k).map(|b| root_at(&mut multi, block_lo(b), &roots[b as usize])).collect();
+            let got = parts(broadcast_blocks(&mut multi, rs, lo, len));
+            let mut single = traced();
+            let mut want = Vec::new();
+            for b in 0..k {
+                let r = root_at(&mut single, block_lo(b), &roots[b as usize]);
+                want.extend(parts(broadcast_z(&mut single, r, block_lo(b), block_lo(b + 1))));
+            }
+            assert_eq!(multi.report(), single.report(), "broadcast {at}: cost");
+            assert_eq!(got, want, "broadcast {at}: outputs");
+
+            // Each block's leaves carry the paths a one-block call's would.
+            let place = |m: &mut Machine, b: usize| {
+                let chunk = leaves[b * len as usize..][..len as usize].to_vec();
+                place_with_paths(m, block_lo(b as u64), chunk)
+            };
+            let mut multi = traced();
+            let items = (0..k as usize).flat_map(|b| place(&mut multi, b)).collect();
+            let got = parts(reduce_blocks(&mut multi, items, lo, len, &concat));
+            let mut single = traced();
+            let mut want = Vec::new();
+            for b in 0..k as usize {
+                let items = place(&mut single, b);
+                want.extend(parts(vec![reduce_z(&mut single, items, block_lo(b as u64), &concat)]));
+            }
+            assert_eq!(multi.report(), single.report(), "reduce {at}: cost");
+            assert_eq!(got, want, "reduce {at}: outputs");
+        }
     }
 }
 
