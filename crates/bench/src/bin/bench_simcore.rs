@@ -146,16 +146,16 @@ fn sort_rate(n: usize, samples: usize) -> u64 {
     rates[rates.len() / 2]
 }
 
-/// Messages/sec of one [`sort_rate`] run on a machine carrying the wse-like
-/// cost profile, with the profiled report charged once at the end — the
-/// workload the profile gate compares against its bare twin.
+/// Messages/sec of one [`sort_rate`] run whose report is charged under the
+/// wse-like cost profile at the end — the workload the profile gate
+/// compares against its bare twin.
 fn sort_rate_profiled(n: usize) -> u64 {
-    use spatial_core::model::WseLike;
-    let mut m = Machine::with_profile(&WseLike);
+    use spatial_core::model::WSE_LIKE;
+    let mut m = Machine::new();
     let items = place_z(&mut m, 0, pseudo(n, 2));
     let t = Instant::now();
     let out = sort_z(&mut m, 0, items);
-    let profiled = m.profiled_report().expect("built-in profiles cannot saturate");
+    let profiled = WSE_LIKE.charge(m.report()).expect("built-in profiles cannot saturate");
     let ns = t.elapsed().as_nanos();
     std::hint::black_box(out);
     std::hint::black_box(profiled);
@@ -478,11 +478,10 @@ fn main() {
             }
             println!("scaling gate passed (threads=2 within 5% of serial)");
         }
-        // Profile gate: a cost profile is pure accounting applied to the
-        // final counters, so a profiled machine must run the hot path at
-        // full speed. `is_bare()` deliberately ignores the profile field —
-        // this gate fails if anyone ever wires profiles into the per-message
-        // path (which would also disable the closed-form level kernels).
+        // Profile gate: a cost profile is pure accounting charged onto the
+        // finished report. The machine holds no profile, so none can reach
+        // the per-message path; the gate times the run plus its one charge
+        // against the bare run.
         if want("sort_z/65536") {
             println!("-- profile gate (sort_z/65536, wse-like vs bare, 5 pairs) --");
             set_sim_threads(1);

@@ -44,7 +44,7 @@ fn main() {
         bit.push(n, cb);
         mrg.push(n, cm);
         println!(
-            "{:>8} {:>15} {:>15} {:>8.2} {:>9} {:>9} {:>8.2}",
+            "{:>8} {:>15} {:>15} {:>8.4} {:>9} {:>9} {:>8.2}",
             n,
             cb.energy,
             cm.energy,
@@ -55,7 +55,7 @@ fn main() {
         );
     }
     println!("(asymptotics: the E-ratio must grow ≈ Θ(log n) — visible from n = 256 on.");
-    println!(" Note the *constants*: the 2D mergesort pays ≈500-700x more per element than");
+    println!(" Note the *constants*: the 2D mergesort pays ≈100-150x more per element than");
     println!(" the bitonic network at these sizes, because every merge level runs three");
     println!(" all-pairs rank selections over Θ(√n)-sized windows (the paper's own design,");
     println!(" Lemma V.6). The asymptotic ordering — mergesort energy Θ(n^1.5) vs bitonic");

@@ -18,7 +18,7 @@ use spatial_core::theory::{self, Metric};
 fn main() {
     let jobs = runner::default_workers();
     println!("Reproduction of Lemma IV.1 / Corollary IV.2 (and the §IV energy improvement).");
-    println!("(sweeps run on {jobs} supervised workers; override with SPATIAL_JOBS)");
+    eprintln!("(sweeps run on {jobs} supervised workers; override with SPATIAL_JOBS)");
 
     print_section("(a) Square broadcast: optimal vs binary-tree baseline");
     println!(

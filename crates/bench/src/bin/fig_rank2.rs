@@ -52,5 +52,6 @@ fn main() {
         });
         println!("{:>10} {:>14} {:>8} {:>10}", k, c.energy, c.depth, c.distance);
     }
-    println!("(small k skips the sampling phase entirely — the paper's l = 0 case)");
+    println!("(k = 1 skips the sampling phase — the paper's l = 0 case — and costs as much:");
+    println!(" the windows dominate; k = n - 1 and k = n are the cheap ranks)");
 }

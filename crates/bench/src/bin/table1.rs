@@ -29,9 +29,9 @@ fn main() {
     let profile = profile_from_args();
     println!("Reproduction of Table I: fitted scaling exponents vs paper bounds.");
     println!("(energy/distance: log-log fit; depth: metric / log^k n ratios must stay bounded)");
-    println!("(sweeps run on {jobs} supervised workers; override with SPATIAL_JOBS)");
+    eprintln!("(sweeps run on {jobs} supervised workers; override with SPATIAL_JOBS)");
     if let Some(p) = profile {
-        println!("(profiled totals under the {:?} cost profile)", p.name());
+        println!("(profiled totals under the {:?} cost profile)", p.name);
     }
 
     print_section("Table I row 1: Parallel Scan (Lemma IV.3)");

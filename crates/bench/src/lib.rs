@@ -63,7 +63,7 @@ pub fn pow4_sizes(lo: u32, hi: u32) -> Vec<u64> {
 /// (the CI matrix leg sets the latter), else `None` — raw counters only,
 /// exactly today's output. An unknown name aborts with the typed usage
 /// message rather than silently generating figures under the wrong model.
-pub fn profile_from_args() -> Option<&'static dyn CostProfile> {
+pub fn profile_from_args() -> Option<&'static CostProfile> {
     let mut name = std::env::var("SPATIAL_PROFILE").ok();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -84,9 +84,9 @@ pub fn profile_from_args() -> Option<&'static dyn CostProfile> {
 /// size, after the raw rows. A `None` profile prints nothing, so callers
 /// can pass [`profile_from_args`]'s result straight through and the default
 /// figure output stays byte-identical.
-pub fn print_profiled(s: &Sweep, profile: Option<&'static dyn CostProfile>) {
+pub fn print_profiled(s: &Sweep, profile: Option<&'static CostProfile>) {
     let Some(p) = profile else { return };
-    println!("  profiled ({}):", p.name());
+    println!("  profiled ({}):", p.name);
     for point in &s.points {
         match p.charge(point.cost) {
             Ok(c) => println!(

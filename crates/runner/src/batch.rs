@@ -42,7 +42,7 @@ use crate::report::BatchReport;
 pub struct BatchConfig {
     /// Worker threads.
     pub workers: usize,
-    /// Submission queue bound.
+    /// Base of the admission limit (see [`PoolConfig::queue_cap`]).
     pub queue_cap: usize,
     /// Shed fraction of `queue_cap` (see [`PoolConfig::shed_threshold`]).
     pub shed_threshold: Option<f64>,
@@ -138,7 +138,7 @@ impl Batch {
                     Some(
                         spatial_core::model::profile_by_name(name)
                             .map_err(|e| format!("config.profile: {e}"))?
-                            .name(),
+                            .name,
                     )
                 }
             };

@@ -256,7 +256,7 @@ impl JobSpec {
                 })?;
                 // Resolve to the registry's `&'static` name; an unknown name
                 // surfaces the typed usage error verbatim.
-                Some(profile_by_name(name).map_err(|e| format!("job {index}: {e}"))?.name())
+                Some(profile_by_name(name).map_err(|e| format!("job {index}: {e}"))?.name)
             }
         };
         // chaos-spin needing a deadline is checked by `Batch::parse`, which
@@ -572,11 +572,6 @@ fn attempt(
     m.set_cancel_token(token.clone());
     if let Some(b) = spec.budget {
         m.enable_guard(ModelGuard::new().max_energy(b));
-    }
-    if let Some(name) = spec.profile {
-        // Validated at parse time; carried on the machine through the whole
-        // attempt (accounting only — the bare fast path is unaffected).
-        m.set_profile(profile_by_name(name).expect("spec profiles are validated at parse"));
     }
     run_primitive(spec, m, spec.seed ^ (u64::from(attempt) << 32))
 }

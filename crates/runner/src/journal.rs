@@ -23,8 +23,8 @@
 //!   aggregates, warm cache in LRU order), written at clean shutdown via
 //!   write-to-temp + `rename` so a crash mid-write can never leave a
 //!   half-snapshot behind. All `u64` scalars are encoded as decimal
-//!   strings and all `f64`s as IEEE-754 bit patterns in hex, because the
-//!   in-tree JSON number type is an `f64` (53-bit mantissa).
+//!   strings and all `f64`s as IEEE-754 bit patterns in hex, so no value
+//!   passes through a JSON number (many readers decode those as `f64`s).
 //!
 //! ## Recovery and the consistent-prefix rule
 //!
@@ -185,11 +185,6 @@ impl Journal {
         Ok((Journal { file, dir: dir.to_path_buf() }, rec))
     }
 
-    /// The journal directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Appends one record and pushes it to the OS before returning — after
     /// this call, a SIGKILL cannot lose the record.
     pub fn append(&mut self, kind: RecordKind, seq: u64, payload: &str) -> io::Result<()> {
@@ -220,14 +215,15 @@ pub fn read_snapshot(dir: &Path) -> Option<Snapshot> {
     Snapshot::parse(&src)
 }
 
-/// The rolling aggregates behind the daemon's `stats` verb, in snapshot
-/// form (the live struct is private to the serve loop).
+/// The rolling aggregates behind the daemon's `stats` verb. The serve loop
+/// updates one at *emission* time, so a stats line covers exactly the jobs
+/// that precede it in the stream, and snapshots it by `clone`.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct AggSnapshot {
+pub struct Aggregate {
     /// Jobs that have passed the emission cursor.
     pub jobs: u64,
     /// Per-outcome counts, in [`Outcome::ALL`] order.
-    pub counts: Vec<u64>,
+    pub counts: [u64; Outcome::ALL.len()],
     /// Total attempts across jobs.
     pub attempts: u64,
     /// Total model energy.
@@ -252,15 +248,15 @@ pub struct Snapshot {
     /// Tenant ledgers, first-seen order.
     pub tenants: Vec<TenantSnapshot>,
     /// Rolling stats aggregates.
-    pub agg: AggSnapshot,
+    pub agg: Aggregate,
     /// Warm cache entries, LRU order (least recently used first).
     pub cache: Vec<(CacheKey, JobResult)>,
 }
 
 // ---------------------------------------------------------------------
 // Snapshot serialization. u64 → decimal string, f64 → IEEE-754 bits in
-// hex: the in-tree JSON number is an f64, so large integers and exact
-// fault fractions must not pass through it.
+// hex: neither large integers nor exact fault fractions pass through a
+// JSON number.
 // ---------------------------------------------------------------------
 
 fn u(x: u64) -> String {
@@ -440,7 +436,7 @@ fn parse_cache_entry(v: &Json) -> Option<(CacheKey, JobResult)> {
         profile: match k.get("profile") {
             None => None,
             Some(j) if j.is_null() => None,
-            Some(j) => Some(profile_by_name(j.as_str()?).ok()?.name()),
+            Some(j) => Some(profile_by_name(j.as_str()?).ok()?.name),
         },
     };
     let r = v.get("result")?;
@@ -515,9 +511,10 @@ impl Snapshot {
             return None;
         }
         let agg_v = v.get("agg")?;
-        let agg = AggSnapshot {
+        let agg = Aggregate {
             jobs: get_u(agg_v, "jobs")?,
-            counts: get_u_list(agg_v, "counts")?,
+            // One count per outcome: a list of any other length is refused.
+            counts: get_u_list(agg_v, "counts")?.try_into().ok()?,
             attempts: get_u(agg_v, "attempts")?,
             energy_total: get_u(agg_v, "energy_total")?,
             energies: get_u_list(agg_v, "energies")?,
@@ -696,9 +693,9 @@ mod tests {
                 completed: 3,
                 admitted: vec![7, 9],
             }],
-            agg: AggSnapshot {
+            agg: Aggregate {
                 jobs: 5,
-                counts: vec![3, 1, 0, 0, 1, 0, 0, 0],
+                counts: [3, 1, 0, 0, 1, 0, 0, 0],
                 attempts: 6,
                 energy_total: 4242,
                 energies: vec![100, 2000, 2142],
@@ -724,8 +721,18 @@ mod tests {
         let snap = sample_snapshot();
         j.write_snapshot(&snap).unwrap();
         assert!(!dir.join("snapshot.json.tmp").exists(), "temp renamed away");
+        let json = snap.to_json();
         assert_eq!(read_snapshot(&dir), Some(snap));
-        // A torn or garbage snapshot is ignored, not fatal.
+        // A torn or garbage snapshot is ignored, not fatal; so is one whose
+        // counts list has the wrong length (7 or 9 outcomes instead of 8).
+        let counts = r#""counts": ["3", "1", "0", "0", "1", "0", "0", "0"]"#;
+        for wrong in [
+            r#""counts": ["3", "1", "0", "0", "1", "0", "0"]"#,
+            r#""counts": ["3", "1", "0", "0", "1", "0", "0", "0", "0"]"#,
+        ] {
+            fs::write(dir.join(SNAPSHOT_FILE), json.replace(counts, wrong)).unwrap();
+            assert_eq!(read_snapshot(&dir), None, "{wrong}");
+        }
         fs::write(dir.join(SNAPSHOT_FILE), "{\"schema\": \"spatial-serve-sn").unwrap();
         assert_eq!(read_snapshot(&dir), None);
         fs::write(dir.join(SNAPSHOT_FILE), "{\"schema\": \"something/v9\"}").unwrap();

@@ -20,8 +20,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (stored as `f64`; jobspec integers are well within
-    /// the 53-bit exact range).
+    /// A non-negative integer literal that fits a `u64`, held exactly.
+    Int(u64),
+    /// Any other JSON number (a fraction, an exponent, a sign or a value
+    /// past `u64::MAX`), stored as `f64`.
     Num(f64),
     /// A string.
     Str(String),
@@ -80,17 +82,21 @@ impl Json {
 
     /// The value as an `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
+        match *self {
+            Json::Int(n) => Some(n as f64),
+            Json::Num(n) => Some(n),
             _ => None,
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative integral number.
+    /// The value as a `u64`: an integer literal exactly, any other number
+    /// only if it is a non-negative integer below 2^53, where an `f64`
+    /// still holds every integer exactly.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
+        match *self {
+            Json::Int(n) => Some(n),
+            Json::Num(n) if (0.0..(1u64 << 53) as f64).contains(&n) && n.fract() == 0.0 => {
+                Some(n as u64)
             }
             _ => None,
         }
@@ -306,6 +312,9 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.b[start..self.i]).unwrap();
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::Int(n));
+        }
         text.parse::<f64>().map(Json::Num).map_err(|_| self.err(format!("bad number {text:?}")))
     }
 }
@@ -383,6 +392,22 @@ mod tests {
         assert_eq!(Json::parse("3").unwrap().as_u64(), Some(3));
         assert_eq!(Json::parse("3.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("-3").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn integer_literals_read_exactly_past_two_to_the_53() {
+        for n in [(1u64 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let v = Json::parse(&n.to_string()).unwrap();
+            assert_eq!(v, Json::Int(n));
+            assert_eq!(v.as_u64(), Some(n));
+            assert_eq!(v.as_f64(), Some(n as f64));
+        }
+        // Past u64::MAX, or written with an exponent at or above 2^53, the
+        // value went through an f64 and is refused rather than rounded.
+        for text in ["18446744073709551616", "9007199254740993e0", "1e19"] {
+            assert_eq!(Json::parse(text).unwrap().as_u64(), None, "{text}");
+        }
+        assert_eq!(Json::parse("1e3").unwrap().as_u64(), Some(1000));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!
 //! * [`pool`] — worker threads with per-job panic isolation
 //!   (`catch_unwind`), watchdog-enforced deadlines via cooperative
-//!   [`spatial_core::model::CancelToken`]s, a bounded submission queue with
-//!   backpressure, and deterministic load shedding past a saturation
-//!   threshold;
+//!   [`spatial_core::model::CancelToken`]s, and deterministic load
+//!   shedding past a saturation threshold;
 //! * [`job`] — job specifications and the degradation ladder: checksum-
 //!   verified recovery with exponential backoff and seeded jitter, then a
 //!   sequential host-oracle fallback marked `Degraded` so a damaged batch

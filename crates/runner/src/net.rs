@@ -51,11 +51,12 @@ use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
 use crate::lines;
+use crate::pool::lock;
 use crate::serve::{drain_requested, serve, ServeConfig, ServeSummary};
 
 /// Process exit code (and per-session label code) for a transport-layer
@@ -174,10 +175,6 @@ impl NetSummary {
     pub fn count(&self, end: SessionEnd) -> u64 {
         self.ends[end.index()]
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 // ---------------------------------------------------------------------------

@@ -20,20 +20,20 @@
 //!   No wall-clock ever enters the simulator itself — the token is a plain
 //!   flag, which is what keeps cancelled runs classifiable without
 //!   poisoning cost determinism.
-//! * **Load shedding** — admission is bounded by
-//!   [`PoolConfig::queue_cap`]. With a [`PoolConfig::shed_threshold`] set,
-//!   jobs beyond `ceil(threshold · queue_cap)` are rejected up front as
-//!   [`TaskOutcome::Shed`] without executing; workers are gated until
-//!   admission completes, so the shed set is a pure function of the task
-//!   list and the config — never of thread timing. Without a threshold the
-//!   pool runs in streaming mode: submission blocks (backpressure) while
-//!   the queue is full and every task eventually runs.
+//! * **Load shedding** — with a [`PoolConfig::shed_threshold`] set, tasks
+//!   past [`PoolConfig::admission_limit`] (`ceil(threshold · queue_cap)`)
+//!   are marked [`TaskOutcome::Shed`] before any worker starts and never
+//!   execute, so the shed set is a pure function of the task count and the
+//!   config — never of thread timing. Without a threshold every task runs.
 //!
-//! Results come back indexed by submission order regardless of which worker
-//! finished when, so callers can zip outcomes with their specs.
+//! Every task is materialised before the workers start, so there is no
+//! queue: each worker claims the next admitted task by its index from a
+//! shared counter. Results come back indexed by submission order
+//! regardless of which worker finished when, so callers can zip outcomes
+//! with their specs.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -44,10 +44,10 @@ use spatial_core::model::CancelToken;
 pub struct PoolConfig {
     /// Maximum concurrent worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Bound on the submission queue (clamped to at least 1).
+    /// Base of [`PoolConfig::admission_limit`] (clamped to at least 1).
     pub queue_cap: usize,
-    /// Saturation fraction of `queue_cap` past which jobs are shed instead
-    /// of queued. `None` disables shedding (backpressure blocks instead).
+    /// Fraction of `queue_cap` past which tasks are shed instead of run.
+    /// `None` disables shedding: every task runs.
     pub shed_threshold: Option<f64>,
     /// Watchdog polling interval. Deadlines are enforced with this
     /// granularity; the default (5 ms) is far below any realistic job
@@ -99,16 +99,6 @@ pub enum TaskOutcome<T> {
     /// The task was rejected at admission because the pool was saturated.
     /// It never executed.
     Shed,
-}
-
-impl<T> TaskOutcome<T> {
-    /// The completed value, if this outcome is [`TaskOutcome::Done`].
-    pub fn done(self) -> Option<T> {
-        match self {
-            TaskOutcome::Done(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 /// Locks `m`, recovering the guard from a poisoned lock. A worker that
@@ -183,121 +173,61 @@ impl Watchdog {
     }
 }
 
-/// Shared submission queue: indices into the task vector plus a closed
-/// flag so workers know when to exit.
-struct Queue {
-    ready: VecDeque<usize>,
-    closed: bool,
-}
-
 /// Runs `tasks` under supervision and returns one [`TaskOutcome`] per task,
 /// in submission order.
 ///
 /// Blocks until every admitted task has finished (or been cancelled and
 /// then finished). Panics inside tasks are contained; a panic in the pool
-/// machinery itself (a poisoned lock) propagates, as it indicates a bug in
-/// the runner, not in a job.
+/// machinery itself propagates, as it indicates a bug in the runner, not in
+/// a job.
 pub fn run_supervised<T: Send>(cfg: &PoolConfig, tasks: Vec<Task<'_, T>>) -> Vec<TaskOutcome<T>> {
     let n = tasks.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let admit = cfg.admission_limit();
+    // Tasks past the admission limit are shed before any worker starts, so
+    // the shed set depends on the task count and the config alone.
+    let admitted = cfg.admission_limit().min(n);
+    let results: Vec<Mutex<Option<TaskOutcome<T>>>> =
+        (0..n).map(|i| Mutex::new((i >= admitted).then_some(TaskOutcome::Shed))).collect();
     let slots: Vec<Mutex<Option<Task<T>>>> =
-        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<TaskOutcome<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    let queue = Mutex::new(Queue { ready: VecDeque::new(), closed: false });
-    let not_empty = Condvar::new();
-    let not_full = Condvar::new();
-
-    // Admission. With shedding enabled this happens entirely before any
-    // worker starts (the queue lock is held by nobody else yet), so the
-    // shed set is count-based and deterministic. In streaming mode the
-    // submitter runs concurrently with the workers below and blocks on
-    // `not_full` when the queue is at capacity.
-    let gated = cfg.shed_threshold.is_some();
-    let mut shed = vec![false; n];
-    if gated {
-        let mut q = queue.lock().unwrap();
-        for (i, s) in shed.iter_mut().enumerate() {
-            if i < admit {
-                q.ready.push_back(i);
-            } else {
-                *s = true;
-            }
-        }
-        q.closed = true;
-    }
-    let admitted = if gated { admit.min(n) } else { n };
-    let workers = cfg.workers.max(1).min(admitted.max(1));
+        tasks.into_iter().take(admitted).map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
+    let workers = cfg.workers.max(1).min(admitted);
     let watchdog = Watchdog::new(workers);
 
-    std::thread::scope(|scope| {
-        scope.spawn(|| watchdog.run(cfg.watchdog_tick_ms));
-
-        let (queue, not_empty, not_full) = (&queue, &not_empty, &not_full);
-        let (slots, results, watchdog) = (&slots, &results, &watchdog);
-        let mut pool = Vec::with_capacity(workers);
-        for wi in 0..workers {
-            pool.push(scope.spawn(move || loop {
-                let idx = {
-                    let mut q = queue.lock().unwrap();
-                    loop {
-                        if let Some(i) = q.ready.pop_front() {
-                            break i;
-                        }
-                        if q.closed {
-                            return;
-                        }
-                        q = not_empty.wait(q).unwrap();
-                    }
-                };
-                not_full.notify_one();
-                let task = slots[idx].lock().unwrap().take().expect("task dispatched twice");
-                let outcome = match watchdog.supervise(wi, task.deadline_ms, task.run) {
-                    Ok(v) => TaskOutcome::Done(v),
-                    Err(payload) => TaskOutcome::Panicked(panic_message(payload.as_ref())),
-                };
-                *results[idx].lock().unwrap() = Some(outcome);
-            }));
-        }
-
-        // Streaming submission with backpressure.
-        if !gated {
-            for i in 0..n {
-                let mut q = queue.lock().unwrap();
-                while q.ready.len() >= cfg.queue_cap.max(1) {
-                    q = not_full.wait(q).unwrap();
+    if workers > 0 {
+        std::thread::scope(|scope| {
+            scope.spawn(|| watchdog.run(cfg.watchdog_tick_ms));
+            let (slots, results, next, watchdog) = (&slots, &results, &next, &watchdog);
+            let pool: Vec<_> = (0..workers)
+                .map(|wi| {
+                    // `Relaxed` suffices: the counter only hands out indices;
+                    // each slot's mutex publishes its task and its result.
+                    scope.spawn(move || loop {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = slots.get(idx) else { return };
+                        let task = lock(slot).take().expect("each index is claimed once");
+                        let outcome = match watchdog.supervise(wi, task.deadline_ms, task.run) {
+                            Ok(v) => TaskOutcome::Done(v),
+                            Err(payload) => TaskOutcome::Panicked(panic_message(payload.as_ref())),
+                        };
+                        *lock(&results[idx]) = Some(outcome);
+                    })
+                })
+                .collect();
+            // Wake the watchdog as soon as the last worker exits; a panic in
+            // the pool machinery itself still propagates, once it is stopped.
+            let joined: Vec<_> = pool.into_iter().map(|w| w.join()).collect();
+            watchdog.stop();
+            for j in joined {
+                if let Err(payload) = j {
+                    std::panic::resume_unwind(payload);
                 }
-                q.ready.push_back(i);
-                drop(q);
-                not_empty.notify_one();
             }
-            queue.lock().unwrap().closed = true;
-        }
-        not_empty.notify_all();
-        // Wake the watchdog as soon as the last worker exits; a panic in
-        // the pool machinery itself still propagates, once it is stopped.
-        let joined: Vec<_> = pool.into_iter().map(|w| w.join()).collect();
-        watchdog.stop();
-        for j in joined {
-            if let Err(payload) = j {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
+        });
+    }
 
     results
         .into_iter()
-        .zip(shed)
-        .map(|(slot, was_shed)| {
-            if was_shed {
-                TaskOutcome::Shed
-            } else {
-                slot.into_inner().unwrap().expect("admitted task finished without a result")
-            }
-        })
+        .map(|r| r.into_inner().unwrap().expect("admitted task finished without a result"))
         .collect()
 }
 

@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn profiled_fields_are_opt_in_and_stringly_precise() {
-        use spatial_core::model::{profile_by_name, CostProfile, WseLike};
+        use spatial_core::model::{profile_by_name, WSE_LIKE};
 
         let mut r = sample_report();
         // Default report: no profile key anywhere — byte-compatible with the
@@ -255,7 +255,7 @@ mod tests {
         assert!(!r.to_json(false).contains("profile"));
 
         let p = profile_by_name("wse-like").unwrap();
-        r.profile = Some(p.name());
+        r.profile = Some(p.name);
         r.jobs[0].profiled = Some(p.charge(r.jobs[0].cost.unwrap()).unwrap());
         let doc = Json::parse(&r.to_json(false)).expect("profiled report is valid JSON");
         assert_eq!(doc.get("profile").and_then(Json::as_str), Some("wse-like"));
@@ -264,7 +264,7 @@ mod tests {
         // cost = {energy: 100, depth: 5, distance: 9, messages: 40} under
         // wse-like (1, 2, 1, 1, 1): hop 100, op 80, occupancy 140 → 320 pJ;
         // delay 9 + 5 = 14 cycles; EDP 4480.
-        let w = WseLike.weights();
+        let w = WSE_LIKE.weights;
         assert_eq!((w.pj_per_hop, w.pj_per_op, w.pj_per_word_hop), (1, 2, 1));
         assert_eq!(pj.get("total_pj").and_then(Json::as_str), Some("320"));
         assert_eq!(pj.get("delay_cycles").and_then(Json::as_str), Some("14"));

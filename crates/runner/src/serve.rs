@@ -67,7 +67,7 @@ use spatial_core::recovery::BackoffPolicy;
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::job::{execute, FaultCfg, JobKind, JobResult, JobSpec, Outcome};
-use crate::journal::{Journal, RecordKind, Recovered, Snapshot};
+use crate::journal::{Aggregate, Journal, RecordKind, Recovered, Snapshot};
 use crate::json::{escape, Json};
 use crate::pool::{lock, panic_message, Watchdog};
 use crate::report::{cost_json, percentile};
@@ -179,52 +179,6 @@ fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(g).unwrap_or_else(|e| e.into_inner())
 }
 
-/// Rolling aggregates behind the `stats` verb. Updated at *emission* time,
-/// so a stats line covers exactly the jobs that precede it in the stream.
-#[derive(Default)]
-struct Agg {
-    jobs: u64,
-    counts: [u64; Outcome::ALL.len()],
-    attempts: u64,
-    energy_total: u64,
-    energies: Vec<u64>,
-    walls: Vec<u64>,
-    cache_hits: u64,
-    cache_lookups: u64,
-}
-
-impl Agg {
-    fn from_snapshot(s: &crate::journal::AggSnapshot) -> Agg {
-        let mut counts = [0u64; Outcome::ALL.len()];
-        for (dst, src) in counts.iter_mut().zip(&s.counts) {
-            *dst = *src;
-        }
-        Agg {
-            jobs: s.jobs,
-            counts,
-            attempts: s.attempts,
-            energy_total: s.energy_total,
-            energies: s.energies.clone(),
-            walls: s.walls.clone(),
-            cache_hits: s.cache_hits,
-            cache_lookups: s.cache_lookups,
-        }
-    }
-
-    fn to_snapshot(&self) -> crate::journal::AggSnapshot {
-        crate::journal::AggSnapshot {
-            jobs: self.jobs,
-            counts: self.counts.to_vec(),
-            attempts: self.attempts,
-            energy_total: self.energy_total,
-            energies: self.energies.clone(),
-            walls: self.walls.clone(),
-            cache_hits: self.cache_hits,
-            cache_lookups: self.cache_lookups,
-        }
-    }
-}
-
 /// A line waiting its turn in the ordered emission buffer.
 enum Pending {
     /// Fully formed control line.
@@ -241,7 +195,7 @@ enum Pending {
         looked_up: bool,
         attempts: u32,
     },
-    /// Stats verb: the line is rendered from [`Agg`] when its turn comes.
+    /// Stats verb: the line is rendered from [`Aggregate`] when its turn comes.
     Stats,
 }
 
@@ -255,7 +209,7 @@ struct Core<W: Write> {
     inflight: usize,
     closed: bool,
     canonical: bool,
-    agg: Agg,
+    agg: Aggregate,
     io_err: Option<io::Error>,
     summary: ServeSummary,
     /// Open write-ahead journal, if crash safety is on.
@@ -308,7 +262,7 @@ pub fn serve<R: BufRead, W: Write + Send>(
     // are already reflected in the restored state and skip replay.
     let mut sched = DrrScheduler::new(cfg.quantum);
     let mut cache = ResultCache::with_capacity(cfg.cache_capacity);
-    let mut agg = Agg::default();
+    let mut agg = Aggregate::default();
     let mut base: u64 = 0;
     if let Some(snap) = &recovered.snapshot {
         base = snap.lines;
@@ -316,7 +270,7 @@ pub fn serve<R: BufRead, W: Write + Send>(
             sched.import_tenant(t);
         }
         cache.import(snap.cache.clone());
-        agg = Agg::from_snapshot(&snap.agg);
+        agg = snap.agg.clone();
     }
     let journaled_in = recovered.inputs.len() as u64;
     let journaled_out = recovered.outputs.len() as u64;
@@ -464,7 +418,7 @@ pub fn serve<R: BufRead, W: Write + Send>(
             lines: g.seq,
             emitted: g.next_out,
             tenants: g.sched.export_tenants(),
-            agg: g.agg.to_snapshot(),
+            agg: g.agg.clone(),
             cache: g.cache.export(),
         };
         j.write_snapshot(&snap)?;
@@ -783,7 +737,13 @@ fn job_line(seq: u64, tenant: &str, j: &JobResult, cached: bool, canonical: bool
 
 /// The `stats` verb's aggregate line. Rates are fixed-point strings so the
 /// canonical form never depends on float formatting.
-fn stats_line(seq: u64, agg: &Agg, canonical: bool, cache_len: usize, cache_cap: usize) -> String {
+fn stats_line(
+    seq: u64,
+    agg: &Aggregate,
+    canonical: bool,
+    cache_len: usize,
+    cache_cap: usize,
+) -> String {
     let rate = |count: u64| -> String {
         if agg.jobs == 0 {
             "null".into()
@@ -1007,6 +967,23 @@ mod tests {
         let c: Vec<&str> = canon.lines().collect();
         let strip = |s: &str| s.replace("\"seq\": 0", "").replace("\"seq\": 1", "");
         assert_eq!(strip(c[0]).replace("\"cold\"", "X"), strip(c[1]).replace("\"warm\"", "X"),);
+    }
+
+    #[test]
+    fn seeds_past_two_to_the_53_run_with_their_exact_value() {
+        let input = r#"
+{"kind": "scan", "n": 16, "seed": 9007199254740992, "id": "a"}
+{"kind": "scan", "n": 16, "seed": 9007199254740993, "id": "b"}
+{"kind": "scan", "n": 16, "seed": 18446744073709551616, "id": "c"}
+"#;
+        let (out, summary) = run(input, 1, false);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert_ne!(field(lines[0], "checksum"), field(lines[1], "checksum"));
+        assert_eq!(field(lines[1], "cached"), "false", "2^53 + 1 is not 2^53");
+        assert!(lines[2].contains("spatial-serve-ctl/v1"), "{}", lines[2]);
+        assert!(lines[2].contains(r#"field \"seed\" must be a non-negative"#), "{}", lines[2]);
+        assert_eq!(summary.errors, 1);
     }
 
     #[test]
@@ -1240,6 +1217,46 @@ this is not json
         assert_eq!(lines.len(), 1);
         assert_eq!(field(lines[0], "seq"), "4");
         assert_eq!(field(lines[0], "jobs"), "2", "aggregates survived the restart");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_missing_a_count_is_refused_and_the_journal_replays() {
+        let dir = std::env::temp_dir().join(format!("spatial-serve-counts-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let input = r#"{"op": "tenant", "tenant": "boxed", "extent": {"rows": 8, "cols": 8}}
+{"kind": "sort", "n": 256, "seed": 1, "tenant": "boxed", "id": "too-wide"}
+{"kind": "scan", "n": 64, "seed": 2, "tenant": "boxed", "id": "fits"}
+"#;
+        let cfg = ServeConfig {
+            workers: 2,
+            canonical: true,
+            journal: Some(dir.clone()),
+            ..Default::default()
+        };
+        serve(io::Cursor::new(input.to_string()), io::sink(), &cfg).expect("first run");
+
+        // Cut the last count (extent-refused, which is 1 here) out of the
+        // snapshot: its `counts` list now has 7 entries instead of 8.
+        let path = dir.join(crate::journal::SNAPSHOT_FILE);
+        let snap = std::fs::read_to_string(&path).unwrap();
+        let start = snap.find("\"counts\": [").unwrap();
+        let end = start + snap[start..].find(']').unwrap();
+        let cut = snap[..end].rfind(", ").unwrap();
+        std::fs::write(&path, format!("{}{}", &snap[..cut], &snap[end..])).unwrap();
+        assert_eq!(crate::journal::read_snapshot(&dir), None);
+
+        // Recovery replays the journal instead, so the next stats line
+        // counts the refusal, as an uninterrupted session does.
+        let extended = format!("{input}{{\"op\": \"stats\"}}\n");
+        let mut out = Vec::new();
+        let cfg2 = ServeConfig { resume_from: 3, ..cfg.clone() };
+        let s = serve(io::Cursor::new(extended.clone()), &mut out, &cfg2).expect("recover");
+        assert_eq!(s.replayed, 3, "the journal replays what the snapshot would have covered");
+        let (whole, _) = run(&extended, 2, true);
+        let stats = whole.lines().last().unwrap();
+        assert_eq!(field(stats, "extent-refused"), "1");
+        assert_eq!(String::from_utf8(out).unwrap(), format!("{stats}\n"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -340,13 +340,13 @@ mod tests {
 
     #[test]
     fn profiled_totals_agree_across_bare_sharded_and_instrumented_paths() {
-        // The profile is charged from the final counters, and the raw
+        // A profile is charged onto the final counters, and the raw
         // counters are bit-identical across the shard engine at any thread
         // count and the instrumented per-item replay — so every profiled
         // total must agree too. This pins that chain end to end on the
         // machine's batch APIs.
         use crate::machine::Machine;
-        use crate::profile::{builtin_profiles, ProfiledCost};
+        use crate::profile::builtin_profiles;
 
         let n = MIN_PARALLEL_ITEMS + 1031; // past the shard engage threshold
         let run = |m: &mut Machine| {
@@ -370,30 +370,27 @@ mod tests {
                     .collect::<Vec<_>>(),
             );
         };
-        for profile in builtin_profiles() {
-            let mut reference: Option<ProfiledCost> = None;
-            for threads in [1usize, 2, 7] {
-                set_sim_threads(threads);
-                let mut m = Machine::with_profile(*profile);
-                assert!(m.is_bare(), "a profile is accounting, not an instrument");
-                run(&mut m);
-                let p = m.profiled_report().expect("built-ins cannot saturate here");
-                let r = *reference.get_or_insert(p);
-                assert_eq!(r, p, "profile {} at threads={threads}", profile.name());
-            }
-            set_sim_threads(0);
-            // Instrumented replay: the trace forces the materializing
-            // per-item path; counters — hence profiled totals — must match.
-            let mut m = Machine::with_profile(*profile);
-            m.enable_trace(4);
-            assert!(!m.is_bare());
+        let mut reports = Vec::new();
+        for threads in [1usize, 2, 7] {
+            set_sim_threads(threads);
+            let mut m = Machine::new();
+            assert!(m.is_bare());
             run(&mut m);
-            assert_eq!(
-                m.profiled_report().unwrap(),
-                reference.unwrap(),
-                "instrumented replay under {}",
-                profile.name()
-            );
+            reports.push(m.report());
+        }
+        set_sim_threads(0);
+        // Instrumented replay: the trace forces the materializing per-item
+        // path; counters — hence profiled totals — must match.
+        let mut m = Machine::new();
+        m.enable_trace(4);
+        assert!(!m.is_bare());
+        run(&mut m);
+        reports.push(m.report());
+        for profile in builtin_profiles() {
+            let reference = profile.charge(reports[0]).expect("built-ins cannot saturate here");
+            for (i, &c) in reports.iter().enumerate() {
+                assert_eq!(profile.charge(c).unwrap(), reference, "{} run {i}", profile.name);
+            }
         }
     }
 
@@ -406,26 +403,19 @@ mod tests {
         use crate::machine::Machine;
         use crate::profile::{CostProfile, ProfileWeights};
 
-        #[derive(Debug)]
-        struct HugeWeights;
-        impl CostProfile for HugeWeights {
-            fn name(&self) -> &'static str {
-                "huge-weights"
-            }
-            fn weights(&self) -> ProfileWeights {
-                ProfileWeights {
-                    pj_per_hop: 1 << 60,
-                    pj_per_op: 1 << 60,
-                    pj_per_word_hop: 1 << 60,
-                    cycles_per_hop: 1 << 20,
-                    cycles_per_op: 1 << 20,
-                }
-            }
-        }
-        static HUGE: HugeWeights = HugeWeights;
+        let huge = CostProfile {
+            name: "huge-weights",
+            weights: ProfileWeights {
+                pj_per_hop: 1 << 60,
+                pj_per_op: 1 << 60,
+                pj_per_word_hop: 1 << 60,
+                cycles_per_hop: 1 << 20,
+                cycles_per_op: 1 << 20,
+            },
+        };
 
         let n = 1u64 << 20;
-        let mut m = Machine::with_profile(&HUGE);
+        let mut m = Machine::new();
         let items = m.place_batch((0..n).collect(), |i| Coord::new(i as i64, 0));
         let _ = m.send_batch(
             items
@@ -439,7 +429,7 @@ mod tests {
         let c = m.report();
         assert_eq!(c.messages, n, "one message per item");
         assert_eq!(c.energy, 7 * n, "uniform displacement of 7 hops");
-        let p = m.profiled_report().expect("representable in u128");
+        let p = huge.charge(c).expect("representable in u128");
         let w = 1u128 << 60;
         assert_eq!(p.hop_pj, w * u128::from(c.energy));
         assert_eq!(p.op_pj, w * u128::from(c.messages));

@@ -540,39 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_form_kernel_charges_identically_through_every_profile() {
-        // `allpairs_square_finish` requires a *bare* machine — and a profile
-        // is not an instrument, so a profiled machine still takes the
-        // closed-form path and its profiled report equals charging the raw
-        // closed-form counters directly.
-        use crate::profile::builtin_profiles;
-
-        let kernel_run = |m: &mut Machine| {
-            let staged = vec![Path::ZERO; 4];
-            let corners: Vec<Tracked<u64>> =
-                (0..4u64).map(|i| Tracked::raw(i, zorder::coord_of(i * 4), Path::ZERO)).collect();
-            let out = m.allpairs_square_finish(&staged, corners, &[0, 1, 2, 3], 0, 4);
-            assert_eq!(out.len(), 4);
-        };
-        let mut bare = Machine::new();
-        kernel_run(&mut bare);
-        let raw = bare.report();
-        assert!(raw.messages > 0, "the kernel charges real traffic");
-        for profile in builtin_profiles() {
-            let mut m = Machine::with_profile(*profile);
-            assert!(m.is_bare(), "profiled machines must keep the kernel path");
-            kernel_run(&mut m);
-            assert_eq!(m.report(), raw, "raw counters are profile-independent");
-            assert_eq!(
-                m.profiled_report().unwrap(),
-                profile.charge(raw).unwrap(),
-                "kernel charge equals charging the raw counters under {}",
-                profile.name()
-            );
-        }
-    }
-
-    #[test]
     fn scale_law_matches_decode() {
         // decode(x · 4^L) = decode(x) · 2^L, the identity the block-level
         // distances rely on.

@@ -70,8 +70,8 @@ pub use machine::Machine;
 pub use memory::MemMeter;
 pub use path::Path;
 pub use profile::{
-    builtin_profiles, profile_by_name, CostProfile, ModelExact, ProfileError, ProfileWeights,
-    ProfiledCost, SimtLike, SystolicLike, WseLike,
+    builtin_profiles, profile_by_name, CostProfile, ProfileError, ProfileWeights, ProfiledCost,
+    MODEL_EXACT, SIMT_LIKE, SYSTOLIC_LIKE, WSE_LIKE,
 };
 pub use trace::{MsgRecord, Trace};
 pub use value::Tracked;
@@ -90,10 +90,7 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send::<Machine>();
     assert_send::<Cost>();
-    // The profile handle is a `&'static dyn CostProfile` (the trait requires
-    // `Sync`), so a profiled machine still crosses worker threads freely.
     assert_send::<ProfiledCost>();
-    assert_send_sync::<profile::ProfileHandle>();
     assert_send::<FaultPlan>();
     assert_send::<SpatialError>();
     assert_send::<ModelGuard>();

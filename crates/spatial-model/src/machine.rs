@@ -1,5 +1,9 @@
 //! The machine: message accounting, placement, instrumentation, and the
 //! fault/conformance layer.
+//!
+//! The machine meters raw counters only;
+//! [`crate::profile::CostProfile::charge`] prices a finished
+//! [`Machine::report`].
 
 use spatial_rng::Rng;
 
@@ -86,37 +90,12 @@ pub struct Machine {
     guard: Option<ModelGuard>,
     violation: Option<SpatialError>,
     cancel: Option<CancelToken>,
-    /// The cost profile reports are charged under. **Not an instrument**:
-    /// profiles are pure accounting applied to the final counters by
-    /// [`Machine::profiled_report`], so setting one keeps
-    /// [`Machine::is_bare`] true and the closed-form level kernels engaged.
-    profile: crate::profile::ProfileHandle,
 }
 
 impl Machine {
     /// A fresh machine with all counters at zero and instrumentation off.
     pub fn new() -> Self {
         Machine::default()
-    }
-
-    /// A fresh machine whose reports are charged under `profile` (see
-    /// [`crate::profile`]). The profile is carried through the whole run —
-    /// including the bare batch fast path, the closed-form kernels and the
-    /// shard engine, none of which it perturbs — and applied to the exact
-    /// counters at [`Machine::profiled_report`] time.
-    pub fn with_profile(profile: &'static dyn crate::profile::CostProfile) -> Self {
-        Machine { profile: crate::profile::ProfileHandle(profile), ..Machine::default() }
-    }
-
-    /// Replaces the active cost profile (accounting only; never affects
-    /// execution, costs already accumulated, or [`Machine::is_bare`]).
-    pub fn set_profile(&mut self, profile: &'static dyn crate::profile::CostProfile) {
-        self.profile = crate::profile::ProfileHandle(profile);
-    }
-
-    /// The active cost profile ([`crate::profile::ModelExact`] by default).
-    pub fn profile(&self) -> &'static dyn crate::profile::CostProfile {
-        self.profile.0
     }
 
     /// Enables per-PE memory metering (see [`MemMeter`]). Only values placed
@@ -322,8 +301,8 @@ impl Machine {
     /// materializing per-item path so the instrument observes the exact
     /// open-coded event stream. The instruments are the memory meter, the
     /// trace, a fault plan that injects something (an empty one is dropped
-    /// by [`Machine::enable_faults`]) and the guard. A cancel token and a
-    /// cost profile are not instruments.
+    /// by [`Machine::enable_faults`]) and the guard. A cancel token is not
+    /// an instrument.
     #[inline]
     pub fn is_bare(&self) -> bool {
         self.mem.is_none() && self.trace.is_none() && self.faults.is_none() && self.guard.is_none()
@@ -615,17 +594,6 @@ impl Machine {
             distance: self.distance_watermark,
             messages: self.messages,
         }
-    }
-
-    /// The accumulated costs charged under the active profile: the pJ
-    /// decomposition, cycle delay and EDP of [`Machine::report`] (which is
-    /// carried verbatim in [`crate::ProfiledCost::raw`]). Errs only if the
-    /// profile's weight arithmetic saturates `u128` — impossible for the
-    /// built-in profiles on counters a real run can produce.
-    pub fn profiled_report(
-        &self,
-    ) -> Result<crate::profile::ProfiledCost, crate::profile::ProfileError> {
-        self.profile.0.charge(self.report())
     }
 
     /// Total energy so far.

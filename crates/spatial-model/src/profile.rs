@@ -1,21 +1,23 @@
-//! Pluggable cost profiles: joules, cycles and EDP on top of the exact
-//! model counters.
+//! Cost profiles: joules, cycles and EDP on top of the exact model
+//! counters.
 //!
 //! The paper's cost triple (energy = Manhattan hops, depth, distance) is one
 //! instantiation of the spatial-computer accounting model. Real accelerator
 //! evaluations weight *per-hop* transport, *per-PE native ops* and
 //! *per-word-resident occupancy* with hardware constants (picojoules per
 //! native op) and rank designs by **energy-delay product**. A
-//! [`CostProfile`] maps the machine's exact counters onto such a hardware
-//! costing; the machine itself keeps metering raw hops.
+//! [`CostProfile`] is a name and five integer [`ProfileWeights`] that map
+//! the machine's exact counters onto such a hardware costing; the machine
+//! itself only meters raw hops and never holds a profile.
 //!
-//! Two invariants make profiles safe to thread everywhere:
+//! Two invariants make profiles safe to use everywhere:
 //!
 //! 1. **Profiles are pure accounting.** A [`ProfiledCost`] is computed from
-//!    the final [`Cost`] snapshot by [`CostProfile::charge`]; the profile is
-//!    *not* an instrument, does not affect [`crate::Machine::is_bare`], and
-//!    therefore leaves the closed-form level kernels and the shard engine's
-//!    fixed-order merge untouched. The hot path never sees a weight.
+//!    a finished [`Cost`] by [`CostProfile::charge`] — callers write
+//!    `p.charge(m.report())`. A profile never reaches a [`crate::Machine`],
+//!    so it cannot affect [`crate::Machine::is_bare`], the closed-form level
+//!    kernels or the shard engine's fixed-order merge. The hot path never
+//!    sees a weight.
 //! 2. **Energy components are linear in the summed counters.** The pJ
 //!    components are integer-weighted sums of `energy` and `messages`, so
 //!    a level kernel's closed-form charge equals the sum of per-item charges,
@@ -37,7 +39,7 @@
 //! | `systolic-like` |      2 |     1 |           3 |          1 |         1 |
 //! | `simt-like`     |      6 |     4 |           2 |          2 |         1 |
 //!
-//! [`ModelExact`] reproduces the paper's metrics exactly: total pJ equals
+//! [`MODEL_EXACT`] reproduces the paper's metrics exactly: total pJ equals
 //! the raw `energy` (hops) and delay equals the raw `distance` (critical-path
 //! wire latency) — and every [`ProfiledCost`] carries the raw [`Cost`]
 //! verbatim, so nothing is lost by charging through a profile. The three
@@ -153,7 +155,7 @@ impl fmt::Display for ProfileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ProfileError::Unknown { name } => {
-                let known: Vec<&str> = builtin_profiles().iter().map(|p| p.name()).collect();
+                let known: Vec<&str> = builtin_profiles().iter().map(|p| p.name).collect();
                 write!(f, "unknown profile {name:?} (known: {})", known.join(", "))
             }
             ProfileError::Saturated { profile, component } => write!(
@@ -167,175 +169,120 @@ impl fmt::Display for ProfileError {
 
 impl std::error::Error for ProfileError {}
 
-/// A costing of the exact model counters.
-///
-/// `Sync + Debug` because the handle is shared by reference across the
-/// supervised runner's worker threads (a [`crate::Machine`] must stay
-/// `Send`). Implementors normally only provide [`name`](CostProfile::name)
-/// and [`weights`](CostProfile::weights); the default
-/// [`charge`](CostProfile::charge) applies the weights in `u128` with typed
-/// saturation.
-pub trait CostProfile: Sync + fmt::Debug {
+/// A named costing of the exact model counters: plain data, charged onto a
+/// finished [`Cost`] with [`CostProfile::charge`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CostProfile {
     /// Stable profile name (`--profile <name>`, report `"profile"` field).
-    fn name(&self) -> &'static str;
-
+    pub name: &'static str,
     /// The integer weights of this profile.
-    fn weights(&self) -> ProfileWeights;
-
-    /// Charges a raw [`Cost`] under this profile.
-    fn charge(&self, cost: Cost) -> Result<ProfiledCost, ProfileError> {
-        charge_with(self.name(), self.weights(), cost)
-    }
+    pub weights: ProfileWeights,
 }
 
-fn charge_with(
-    name: &'static str,
-    w: ProfileWeights,
-    cost: Cost,
-) -> Result<ProfiledCost, ProfileError> {
-    let sat = |component| ProfileError::Saturated { profile: name, component };
-    // Single u64 × u64 products always fit in u128; the word-hop basis is a
-    // u65 sum, so that product (and everything after it) is checked.
-    let hop_pj = u128::from(w.pj_per_hop) * u128::from(cost.energy);
-    let op_pj = u128::from(w.pj_per_op) * u128::from(cost.messages);
-    let word_hops = u128::from(cost.energy) + u128::from(cost.messages);
-    let occupancy_pj =
-        u128::from(w.pj_per_word_hop).checked_mul(word_hops).ok_or_else(|| sat("occupancy_pj"))?;
-    let total_pj = hop_pj
-        .checked_add(op_pj)
-        .and_then(|s| s.checked_add(occupancy_pj))
-        .ok_or_else(|| sat("total_pj"))?;
-    let delay_cycles = (u128::from(w.cycles_per_hop) * u128::from(cost.distance))
-        .checked_add(u128::from(w.cycles_per_op) * u128::from(cost.depth))
-        .ok_or_else(|| sat("delay_cycles"))?;
-    let edp = total_pj.checked_mul(delay_cycles).ok_or_else(|| sat("edp"))?;
-    Ok(ProfiledCost {
-        profile: name,
-        raw: cost,
-        hop_pj,
-        op_pj,
-        occupancy_pj,
-        total_pj,
-        delay_cycles,
-        edp,
-    })
+impl CostProfile {
+    /// Charges a raw [`Cost`] under this profile, in `u128` with typed
+    /// saturation.
+    pub fn charge(&self, cost: Cost) -> Result<ProfiledCost, ProfileError> {
+        let (name, w) = (self.name, self.weights);
+        let sat = |component| ProfileError::Saturated { profile: name, component };
+        // Single u64 × u64 products always fit in u128; the word-hop basis is
+        // a u65 sum, so that product (and everything after it) is checked.
+        let hop_pj = u128::from(w.pj_per_hop) * u128::from(cost.energy);
+        let op_pj = u128::from(w.pj_per_op) * u128::from(cost.messages);
+        let word_hops = u128::from(cost.energy) + u128::from(cost.messages);
+        let occupancy_pj = u128::from(w.pj_per_word_hop)
+            .checked_mul(word_hops)
+            .ok_or_else(|| sat("occupancy_pj"))?;
+        let total_pj = hop_pj
+            .checked_add(op_pj)
+            .and_then(|s| s.checked_add(occupancy_pj))
+            .ok_or_else(|| sat("total_pj"))?;
+        let delay_cycles = (u128::from(w.cycles_per_hop) * u128::from(cost.distance))
+            .checked_add(u128::from(w.cycles_per_op) * u128::from(cost.depth))
+            .ok_or_else(|| sat("delay_cycles"))?;
+        let edp = total_pj.checked_mul(delay_cycles).ok_or_else(|| sat("edp"))?;
+        Ok(ProfiledCost {
+            profile: name,
+            raw: cost,
+            hop_pj,
+            op_pj,
+            occupancy_pj,
+            total_pj,
+            delay_cycles,
+            edp,
+        })
+    }
 }
 
 /// The paper's exact metrics as a (trivial) profile: total pJ is the raw
 /// `energy` (hops) and delay is the raw `distance` (critical-path wire
-/// latency), so charging through `ModelExact` reproduces today's numbers
+/// latency), so charging through `MODEL_EXACT` reproduces today's numbers
 /// bit-for-bit — and `raw` carries the whole tuple regardless.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ModelExact;
-
-impl CostProfile for ModelExact {
-    fn name(&self) -> &'static str {
-        "model-exact"
-    }
-    fn weights(&self) -> ProfileWeights {
-        ProfileWeights {
-            pj_per_hop: 1,
-            pj_per_op: 0,
-            pj_per_word_hop: 0,
-            cycles_per_hop: 1,
-            cycles_per_op: 0,
-        }
-    }
-}
+pub const MODEL_EXACT: CostProfile = CostProfile {
+    name: "model-exact",
+    weights: ProfileWeights {
+        pj_per_hop: 1,
+        pj_per_op: 0,
+        pj_per_word_hop: 0,
+        cycles_per_hop: 1,
+        cycles_per_op: 0,
+    },
+};
 
 /// A wafer-scale-engine-style fabric: on-wafer hops are cheap and uniform,
 /// PE ops cost a couple of pJ, and word residency is billed at hop parity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WseLike;
-
-impl CostProfile for WseLike {
-    fn name(&self) -> &'static str {
-        "wse-like"
-    }
-    fn weights(&self) -> ProfileWeights {
-        ProfileWeights {
-            pj_per_hop: 1,
-            pj_per_op: 2,
-            pj_per_word_hop: 1,
-            cycles_per_hop: 1,
-            cycles_per_op: 1,
-        }
-    }
-}
+pub const WSE_LIKE: CostProfile = CostProfile {
+    name: "wse-like",
+    weights: ProfileWeights {
+        pj_per_hop: 1,
+        pj_per_op: 2,
+        pj_per_word_hop: 1,
+        cycles_per_hop: 1,
+        cycles_per_op: 1,
+    },
+};
 
 /// A systolic-array-style machine: neighbor links and MACs are cheap, but
 /// keeping a word resident (the register/FIFO fabric) dominates the bill.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SystolicLike;
-
-impl CostProfile for SystolicLike {
-    fn name(&self) -> &'static str {
-        "systolic-like"
-    }
-    fn weights(&self) -> ProfileWeights {
-        ProfileWeights {
-            pj_per_hop: 2,
-            pj_per_op: 1,
-            pj_per_word_hop: 3,
-            cycles_per_hop: 1,
-            cycles_per_op: 1,
-        }
-    }
-}
+pub const SYSTOLIC_LIKE: CostProfile = CostProfile {
+    name: "systolic-like",
+    weights: ProfileWeights {
+        pj_per_hop: 2,
+        pj_per_op: 1,
+        pj_per_word_hop: 3,
+        cycles_per_hop: 1,
+        cycles_per_op: 1,
+    },
+};
 
 /// A SIMT-style machine: every hop pays a memory-hierarchy premium (and two
 /// cycles of latency), ops are moderately expensive, residency is cheap.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimtLike;
-
-impl CostProfile for SimtLike {
-    fn name(&self) -> &'static str {
-        "simt-like"
-    }
-    fn weights(&self) -> ProfileWeights {
-        ProfileWeights {
-            pj_per_hop: 6,
-            pj_per_op: 4,
-            pj_per_word_hop: 2,
-            cycles_per_hop: 2,
-            cycles_per_op: 1,
-        }
-    }
-}
+pub const SIMT_LIKE: CostProfile = CostProfile {
+    name: "simt-like",
+    weights: ProfileWeights {
+        pj_per_hop: 6,
+        pj_per_op: 4,
+        pj_per_word_hop: 2,
+        cycles_per_hop: 2,
+        cycles_per_op: 1,
+    },
+};
 
 /// Every built-in profile, in registry order (`model-exact` first — the
 /// default).
-pub fn builtin_profiles() -> &'static [&'static dyn CostProfile] {
-    &[&ModelExact, &WseLike, &SystolicLike, &SimtLike]
+pub fn builtin_profiles() -> &'static [CostProfile] {
+    &[MODEL_EXACT, WSE_LIKE, SYSTOLIC_LIKE, SIMT_LIKE]
 }
 
 /// Resolves a built-in profile by its stable name.
 ///
 /// The error is the typed usage error the CLI and jobspec parsers surface
 /// verbatim (exit code 2): it lists the known names.
-pub fn profile_by_name(name: &str) -> Result<&'static dyn CostProfile, ProfileError> {
+pub fn profile_by_name(name: &str) -> Result<&'static CostProfile, ProfileError> {
     builtin_profiles()
         .iter()
-        .copied()
-        .find(|p| p.name() == name)
+        .find(|p| p.name == name)
         .ok_or_else(|| ProfileError::Unknown { name: name.to_string() })
-}
-
-/// The machine's profile slot: a `Default`-able, `Debug`-gable handle around
-/// the trait object so [`crate::Machine`] keeps its derives.
-#[derive(Clone, Copy)]
-pub struct ProfileHandle(pub &'static dyn CostProfile);
-
-impl Default for ProfileHandle {
-    fn default() -> Self {
-        ProfileHandle(&ModelExact)
-    }
-}
-
-impl fmt::Debug for ProfileHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ProfileHandle({})", self.0.name())
-    }
 }
 
 #[cfg(test)]
@@ -366,7 +313,7 @@ mod tests {
         let mut state = 1u64;
         for _ in 0..200 {
             let c = random_cost(&mut state, u64::MAX);
-            let p = ModelExact.charge(c).expect("unit weights cannot saturate");
+            let p = MODEL_EXACT.charge(c).expect("unit weights cannot saturate");
             assert_eq!(p.raw, c, "raw tuple survives verbatim");
             assert_eq!(p.total_pj, u128::from(c.energy), "total pJ is the hop count");
             assert_eq!(p.delay_cycles, u128::from(c.distance), "delay is the distance watermark");
@@ -398,15 +345,10 @@ mod tests {
                     profile.charge(b).unwrap(),
                     profile.charge(sum).unwrap(),
                 );
-                assert_eq!(ps.hop_pj, pa.hop_pj + pb.hop_pj, "{}", profile.name());
-                assert_eq!(ps.op_pj, pa.op_pj + pb.op_pj, "{}", profile.name());
-                assert_eq!(
-                    ps.occupancy_pj,
-                    pa.occupancy_pj + pb.occupancy_pj,
-                    "{}",
-                    profile.name()
-                );
-                assert_eq!(ps.total_pj, pa.total_pj + pb.total_pj, "{}", profile.name());
+                assert_eq!(ps.hop_pj, pa.hop_pj + pb.hop_pj, "{}", profile.name);
+                assert_eq!(ps.op_pj, pa.op_pj + pb.op_pj, "{}", profile.name);
+                assert_eq!(ps.occupancy_pj, pa.occupancy_pj + pb.occupancy_pj, "{}", profile.name);
+                assert_eq!(ps.total_pj, pa.total_pj + pb.total_pj, "{}", profile.name);
             }
         }
     }
@@ -430,15 +372,8 @@ mod tests {
     }
 
     /// An adversarial profile for the saturation tests.
-    #[derive(Debug)]
-    struct Extreme(ProfileWeights);
-    impl CostProfile for Extreme {
-        fn name(&self) -> &'static str {
-            "extreme"
-        }
-        fn weights(&self) -> ProfileWeights {
-            self.0
-        }
+    fn extreme(weights: ProfileWeights) -> CostProfile {
+        CostProfile { name: "extreme", weights }
     }
 
     #[test]
@@ -446,7 +381,7 @@ mod tests {
         let full =
             Cost { energy: u64::MAX, depth: u64::MAX, distance: u64::MAX, messages: u64::MAX };
         // occupancy: weight × (energy + messages) > u128::MAX.
-        let e = Extreme(ProfileWeights {
+        let e = extreme(ProfileWeights {
             pj_per_hop: 0,
             pj_per_op: 0,
             pj_per_word_hop: u64::MAX,
@@ -459,7 +394,7 @@ mod tests {
         assert!(format!("{err}").contains("saturated"));
 
         // total: three near-max components cannot fit in one u128.
-        let e = Extreme(ProfileWeights {
+        let e = extreme(ProfileWeights {
             pj_per_hop: u64::MAX,
             pj_per_op: u64::MAX,
             pj_per_word_hop: 0,
@@ -472,7 +407,7 @@ mod tests {
         );
 
         // delay: two near-max cycle products overflow their sum.
-        let e = Extreme(ProfileWeights {
+        let e = extreme(ProfileWeights {
             pj_per_hop: 0,
             pj_per_op: 0,
             pj_per_word_hop: 0,
@@ -485,7 +420,7 @@ mod tests {
         );
 
         // EDP: both sides representable, their product not.
-        let e = Extreme(ProfileWeights {
+        let e = extreme(ProfileWeights {
             pj_per_hop: u64::MAX,
             pj_per_op: 0,
             pj_per_word_hop: 0,
@@ -501,9 +436,7 @@ mod tests {
     #[test]
     fn registry_resolves_every_builtin_and_rejects_strangers() {
         for p in builtin_profiles() {
-            let found = profile_by_name(p.name()).expect("registered");
-            assert_eq!(found.name(), p.name());
-            assert_eq!(found.weights(), p.weights());
+            assert_eq!(profile_by_name(p.name).expect("registered"), p);
         }
         let err = profile_by_name("joules-per-furlong").unwrap_err();
         assert_eq!(err.exit_code(), 2, "unknown profile is a usage error");

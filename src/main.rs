@@ -284,7 +284,7 @@ fn parse(mut argv: std::env::Args) -> (String, Args) {
                 // Typed usage error: an unknown name reports itself (and the
                 // known names) instead of the generic usage dump.
                 args.profile = match profile_by_name(&val()) {
-                    Ok(p) => Some(p.name()),
+                    Ok(p) => Some(p.name),
                     Err(e) => {
                         eprintln!("error: {e}");
                         std::process::exit(e.exit_code());
@@ -345,9 +345,6 @@ fn execute<T>(
         }
         if let Some(t) = &cancel {
             m.set_cancel_token(t.clone());
-        }
-        if let Some(p) = profile {
-            m.set_profile(p);
         }
     };
     // Charging can only saturate on adversarial weights, never on the

@@ -5,7 +5,7 @@
 //! divergence here is a bug — typically a `HashMap` iteration order or an
 //! uninitialised seed sneaking into an algorithm.
 
-use spatial_dataflow::model::{Cost, CostProfile, Machine, MsgRecord};
+use spatial_dataflow::model::{Cost, Machine, MsgRecord};
 use spatial_dataflow::prelude::*;
 use spatial_dataflow::topk::top_k;
 
@@ -306,10 +306,10 @@ fn serve_canonical_stream_is_cold_warm_and_worker_count_invariant() {
 /// The profiles exercised by the profile-aware suites: all four built-ins
 /// by default; `SPATIAL_PROFILE=<name>` narrows to one, which is how the CI
 /// profile matrix gives each built-in its own leg.
-fn profiles_under_test() -> Vec<&'static dyn CostProfile> {
+fn profiles_under_test() -> Vec<CostProfile> {
     match std::env::var("SPATIAL_PROFILE") {
         Ok(name) => {
-            vec![profile_by_name(&name).expect("SPATIAL_PROFILE must name a built-in profile")]
+            vec![*profile_by_name(&name).expect("SPATIAL_PROFILE must name a built-in profile")]
         }
         Err(_) => spatial_dataflow::model::builtin_profiles().to_vec(),
     }
@@ -325,31 +325,26 @@ fn profiled_totals_are_invariant_under_sim_thread_count() {
     use spatial_dataflow::model::set_sim_threads;
     let _guard = SIM_THREADS_LOCK.lock().unwrap();
     let v = vals(262144, 23);
-    let run = |profile: &'static dyn CostProfile| {
-        let mut m = Machine::with_profile(profile);
+    let run = |threads: usize| {
+        set_sim_threads(threads);
+        let mut m = Machine::new();
         let items = place_z(&mut m, 0, v.clone());
         let _ = read_values(scan(&mut m, 0, items, &|a, b| a + b));
-        m.profiled_report().expect("built-in profiles cannot saturate")
+        set_sim_threads(0);
+        m.report()
     };
+    let serial = run(1);
+    let sharded = [run(2), run(7)];
     for profile in profiles_under_test() {
-        set_sim_threads(1);
-        let serial = run(profile);
-        for threads in [2usize, 7] {
-            set_sim_threads(threads);
+        let expected = profile.charge(serial).expect("built-in profiles cannot saturate");
+        for (threads, c) in [2usize, 7].into_iter().zip(sharded) {
             assert_eq!(
-                serial,
-                run(profile),
+                expected,
+                profile.charge(c).expect("built-in profiles cannot saturate"),
                 "{} profiled totals differ at {threads} shards",
-                profile.name()
+                profile.name
             );
         }
-        set_sim_threads(0);
-        assert_eq!(
-            serial,
-            profile.charge(serial.raw).expect("re-charge"),
-            "{} profiled report must equal charging its own raw tuple",
-            profile.name()
-        );
     }
 }
 
@@ -370,7 +365,7 @@ fn profiled_batch_report_is_invariant_under_sim_thread_count() {
             set_sim_threads(threads);
             let batch = runner::Batch::parse(&doc).expect("parse smoke jobspec");
             let mut config = batch.config;
-            config.profile = Some(profile.name());
+            config.profile = Some(profile.name);
             let report = runner::run_batch(&batch.name, &config, &batch.jobs).to_json(false);
             set_sim_threads(0);
             report
@@ -379,15 +374,15 @@ fn profiled_batch_report_is_invariant_under_sim_thread_count() {
         assert!(
             serial.contains("\"profiled\""),
             "{}: report must carry profiled job blocks",
-            profile.name()
+            profile.name
         );
         assert!(
-            serial.contains(&format!("\"profile\": \"{}\"", profile.name())),
+            serial.contains(&format!("\"profile\": \"{}\"", profile.name)),
             "{}: report must name its profile",
-            profile.name()
+            profile.name
         );
-        assert_eq!(serial, go(2), "{} profiled report differs at 2 shards", profile.name());
-        assert_eq!(serial, go(7), "{} profiled report differs at 7 shards", profile.name());
+        assert_eq!(serial, go(2), "{} profiled report differs at 2 shards", profile.name);
+        assert_eq!(serial, go(7), "{} profiled report differs at 7 shards", profile.name);
     }
 }
 

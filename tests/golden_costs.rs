@@ -284,10 +284,10 @@ fn golden_profiled_costs_match_committed_corpus() {
 /// default profile replace the old unprofiled accounting with zero drift.
 #[test]
 fn model_exact_reproduces_the_raw_corpus_bit_identically() {
-    use spatial_dataflow::model::ModelExact;
+    use spatial_dataflow::model::MODEL_EXACT;
     for &n in &SIZES {
         for (id, c) in entries_for(n) {
-            let p = ModelExact.charge(c).expect("model-exact never saturates");
+            let p = MODEL_EXACT.charge(c).expect("model-exact never saturates");
             assert_eq!(p.raw, c, "{id}: raw tuple must ride through verbatim");
             assert_eq!(p.total_pj, u128::from(c.energy), "{id}: total_pj == energy");
             assert_eq!(p.hop_pj, u128::from(c.energy), "{id}: hop term carries everything");
