@@ -212,6 +212,9 @@ impl JobSpec {
             }
         };
         let n = field_u64("n", 256)?.max(1);
+        if n > zorder::MAX_POWER_OF_FOUR {
+            return Err(format!("job {index}: n = {n} exceeds 4^31, the largest Z-order array"));
+        }
         let seed = field_u64("seed", 1)?;
         let k = field_u64("k", (n / 2).max(1))?;
         let retries = field_u64("retries", 3)?.min(u64::from(u32::MAX)) as u32;
@@ -835,6 +838,17 @@ mod tests {
         ] {
             let err = JobSpec::from_json(&Json::parse(bad).unwrap(), 0).unwrap_err();
             assert!(err.contains(needle), "{bad}: {err}");
+        }
+        // `n` reaches the largest Z-order array, 4^31, and no further.
+        let scan_of = |n: u64| {
+            JobSpec::from_json(
+                &Json::parse(&format!(r#"{{"kind": "scan", "n": {n}}}"#)).unwrap(),
+                0,
+            )
+        };
+        assert_eq!(scan_of(1 << 62).unwrap().n, 1 << 62);
+        for n in [(1 << 62) + 1, u64::MAX] {
+            assert!(scan_of(n).unwrap_err().contains("exceeds 4^31"), "n = {n}");
         }
     }
 

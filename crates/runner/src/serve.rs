@@ -1006,6 +1006,25 @@ this is not json
     }
 
     #[test]
+    fn an_n_beyond_the_model_is_an_error_line_then_serving_goes_on() {
+        let input = r#"
+{"kind": "scan", "n": 18446744073709551615}
+{"op": "tenant", "tenant": "boxed", "extent": {"rows": 8, "cols": 8}}
+{"kind": "scan", "n": 18446744073709551615, "tenant": "boxed"}
+{"kind": "scan", "n": 16, "seed": 1, "id": "after"}
+"#;
+        let (out, summary) = run(input, 2, true);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 4, "{out}");
+        for i in [0, 2] {
+            assert!(lines[i].contains("spatial-serve-ctl/v1"), "{}", lines[i]);
+            assert!(lines[i].contains("exceeds 4^31"), "{}", lines[i]);
+        }
+        assert_eq!(field(lines[3], "outcome"), "\"ok\"");
+        assert_eq!(summary.errors, 2);
+    }
+
+    #[test]
     fn serving_returns_without_waiting_out_the_watchdog_tick() {
         let cfg = ServeConfig { workers: 1, watchdog_tick_ms: 10_000, ..Default::default() };
         let input = r#"{"kind": "scan", "n": 16, "id": "one"}"#;

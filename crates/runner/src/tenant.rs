@@ -118,6 +118,13 @@ struct Tenant {
     completed: u64,
 }
 
+impl Tenant {
+    /// Backlogged with no job in flight: the tenant could dispatch now.
+    fn ready(&self) -> bool {
+        !self.busy && !self.queue.is_empty()
+    }
+}
+
 /// Why a submission was refused admission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Refusal {
@@ -211,7 +218,7 @@ impl DrrScheduler {
     /// Whether any tenant could dispatch right now (has queued work and no
     /// job in flight).
     pub fn dispatchable(&self) -> bool {
-        self.tenants.iter().any(|t| !t.busy && !t.queue.is_empty())
+        self.tenants.iter().any(Tenant::ready)
     }
 
     /// Picks the next job by deficit round robin and marks its tenant busy.
@@ -225,6 +232,26 @@ impl DrrScheduler {
         if !self.dispatchable() {
             return None;
         }
+        // Grant at once the full rounds in which no backlogged idle tenant
+        // covers its head job: each adds one quantum to each of them and
+        // dispatches nothing, and ends with the cursor where it started, so
+        // the turns below dispatch what turn-by-turn rounds would.
+        let quantum = self.quantum;
+        let rounds = (self.tenants.iter().filter(|t| t.ready()))
+            .map(|t| weight(&t.queue[0].spec).saturating_sub(t.deficit).div_ceil(quantum))
+            .min()
+            .unwrap_or(0)
+            .saturating_sub(1);
+        for t in self.tenants.iter_mut().filter(|t| t.ready()) {
+            t.deficit = t.deficit.saturating_add(rounds.saturating_mul(quantum));
+        }
+        Some(self.turns())
+    }
+
+    /// Visits tenants from the cursor, one quantum per backlogged idle
+    /// tenant per turn, until one covers its head job's weight; dispatches
+    /// that job. Needs a dispatchable tenant.
+    fn turns(&mut self) -> Submission {
         let k = self.tenants.len();
         loop {
             let i = self.cursor;
@@ -248,7 +275,7 @@ impl DrrScheduler {
                     t.deficit = 0;
                 }
                 self.pending -= 1;
-                return Some(sub);
+                return sub;
             }
         }
     }
@@ -409,6 +436,58 @@ mod tests {
             (60..=70).contains(&small_before_first_big),
             "a 4096-unit job at quantum 64 should cost ~64 turns, got {small_before_first_big}"
         );
+    }
+
+    /// `next` against the turn-by-turn loop it shortcuts: random tenants,
+    /// weights, quanta and busy flags give the same dispatch sequence, the
+    /// same deficits and the same cursor.
+    #[test]
+    fn full_round_grants_dispatch_like_the_turn_by_turn_loop() {
+        for case in 0..300 {
+            let mut rng = spatial_rng::Rng::stream(0xD22, case);
+            let quantum = rng.gen_range(1u64..=300);
+            let (mut fast, mut slow) = (DrrScheduler::new(quantum), DrrScheduler::new(quantum));
+            for seq in 0..80 {
+                match rng.gen_range(0u32..3) {
+                    0 => {
+                        let tenant = format!("t{}", rng.gen_range(0u32..5));
+                        let n = rng.gen_range(0u64..20_000);
+                        fast.enqueue(sub(&tenant, seq, n));
+                        slow.enqueue(sub(&tenant, seq, n));
+                    }
+                    1 => {
+                        let want = slow.dispatchable().then(|| slow.turns().seq);
+                        assert_eq!(fast.next().map(|j| j.seq), want, "case {case}, step {seq}");
+                    }
+                    _ => {
+                        let busy: Vec<String> = fast
+                            .tenants
+                            .iter()
+                            .filter(|t| t.busy)
+                            .map(|t| t.name.clone())
+                            .collect();
+                        if !busy.is_empty() {
+                            let name = &busy[rng.gen_range(0..busy.len())];
+                            fast.complete(name, 1);
+                            slow.complete(name, 1);
+                        }
+                    }
+                }
+                let state = |s: &DrrScheduler| {
+                    (s.cursor, s.tenants.iter().map(|t| t.deficit).collect::<Vec<_>>())
+                };
+                assert_eq!(state(&fast), state(&slow), "case {case}, step {seq}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_job_of_the_largest_weight_dispatches_in_one_call() {
+        let mut s = DrrScheduler::new(1);
+        s.enqueue(sub("a", 0, 1 << 40));
+        s.enqueue(sub("b", 1, u64::MAX));
+        assert_eq!(s.next().map(|j| j.seq), Some(0));
+        assert_eq!(s.next().map(|j| j.seq), Some(1));
     }
 
     #[test]

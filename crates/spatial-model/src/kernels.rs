@@ -41,9 +41,11 @@
 //! aligned Z-block ([`Machine::scan_block`], [`Machine::broadcast_block`],
 //! [`Machine::reduce_block`]) have the same property one level at a time:
 //! every group of a quadtree level sends its children over the same
-//! displacements, fixed by the level alone. These kernels fold flat
-//! `(value, Path)` level arrays instead of materializing a `Tracked` per
-//! delivery, and are exact for the same reasons:
+//! displacements, fixed by the level alone. The scan and the reduce walk
+//! the block's quadtree once, depth first in Z order, with one
+//! `(value, Path)` pair per open node on an `O(log n)` stack; the broadcast
+//! appends its copies level by level. None materializes a `Tracked` per
+//! delivery, and all are exact for the same reasons:
 //!
 //! * **Translation invariance.** A block aligned to its length puts child
 //!   `i` of every group at the same offset from the group's fold cell, so a
@@ -53,7 +55,14 @@
 //!   the saturating `add_energy_total` (grouping-independent, as above).
 //! * **Paths.** Each group's path is computed exactly as the per-node code
 //!   computes it — `step` by the level's constant for every child that
-//!   travels, `join` where values combine — only over `(T, Path)` pairs.
+//!   travels, `join` where values combine — only over `(T, Path)` pairs,
+//!   and every `op` call has the per-node code's operands and bracketing.
+//! * **Order.** The scan's carry into a block depends only on the blocks
+//!   before it in Z order, so one walk runs both sweeps: a node walks child
+//!   0 with its own carry, folds each child's returned sum into its running
+//!   prefix to form the next child's carry, and returns its own up-sweep
+//!   sum. Only the order of the per-node code's computations changes, and
+//!   neither the per-level totals nor the watermark maxima depend on it.
 //! * **Watermarks.** The watermarks are raised over exactly the paths the
 //!   per-node code delivers (dominated intermediates need not be observed:
 //!   a gathered child's step path is dominated by the running prefix it
@@ -120,60 +129,218 @@ fn block_height(lo: u64, n: u64) -> u64 {
     u64::from(n.trailing_zeros() / 2)
 }
 
-impl Machine {
-    /// One level of a quadtree fold: each consecutive group of four nodes
-    /// folds in ascending order, `op(op(op(n0, n1), n2), n3)`, at the cell
-    /// child `i` reaches over `hops[i]` (`None`: child `i` already resides
-    /// there and sends nothing). The level is charged with one energy and
-    /// one message total, and the watermarks are raised over the paths of
-    /// the children that travel.
-    fn fold_fours<N, T>(
-        &mut self,
-        nodes: &[N],
-        parts: impl Fn(&N) -> (&T, Path),
-        hops: [Option<u64>; 4],
-        op: &impl Fn(&T, &T) -> T,
-    ) -> Vec<(T, Path)> {
-        let groups = (nodes.len() / 4) as u64;
-        let sent = hops.iter().flatten();
-        self.add_energy_total(u128::from(groups) * u128::from(sent.clone().sum::<u64>()));
-        self.add_messages(groups * sent.count() as u64);
-        let mut acc = ShardAcc::default();
-        let out = nodes
-            .chunks_exact(4)
-            .map(|group| {
-                let mut path = Path::ZERO;
-                for (node, hop) in group.iter().zip(hops) {
-                    let p = parts(node).1;
-                    path = path.join(match hop {
-                        Some(d) => {
-                            acc.observe(p.step(d));
-                            p.step(d)
-                        }
-                        None => p,
-                    });
-                }
-                let [a, b, c, d] = [0, 1, 2, 3].map(|i| parts(&group[i]).0);
-                (op(&op(&op(a, b), c), d), path)
-            })
-            .collect();
-        self.absorb_watermarks(acc);
-        out
+/// The hop lengths of scan level `l`, the same in every block of `4^l`
+/// leaves: child `i`'s sum sits at Z offset `i·q + l − 1` (`q = 4^{l−1}`).
+/// The up-sweep gathers all four sums at offset `l`; the down-sweep gathers
+/// the first three at the block's first cell and scatters the running
+/// prefixes from there to the first cells of children 1–3.
+#[derive(Clone, Copy, Default)]
+struct ScanLevel {
+    up: [u64; 4],
+    gather: [u64; 3],
+    scatter: [u64; 3],
+}
+
+impl ScanLevel {
+    fn new(l: u64) -> Self {
+        let q = 1u64 << (2 * (l - 1));
+        let sum = |i: u64| i * q + l - 1;
+        ScanLevel {
+            up: [0, 1, 2, 3].map(|i| hop(sum(i), l)),
+            gather: [0, 1, 2].map(|i| dist1(sum(i))),
+            scatter: [1, 2, 3].map(|i| dist1(i * q)),
+        }
     }
 
-    /// Charges one down-sweep level of the scan: each of `groups` blocks of
-    /// `4^l` leaves gathers its first three child sums at its first cell
-    /// and scatters the three running prefixes to child blocks 1–3. Returns
-    /// the gather hop of children 0–2 and the scatter hop to child blocks
-    /// 1–3 (index 0 unused).
-    fn charge_down_level(&mut self, l: u64, groups: usize) -> ([u64; 3], [u64; 4]) {
-        let q = 1u64 << (2 * (l - 1));
-        let gather = [0, 1, 2].map(|i| dist1(i * q + l - 1));
-        let scatter = [0, 1, 2, 3].map(|i| dist1(i * q));
-        let per_group = gather.iter().sum::<u64>() + scatter.iter().sum::<u64>();
-        self.add_energy_total(groups as u128 * u128::from(per_group));
-        self.add_messages(6 * groups as u64);
-        (gather, scatter)
+    /// The hops of the ten messages one block of the level sends.
+    fn sends(&self) -> [u64; 10] {
+        let ([u0, u1, u2, u3], [g0, g1, g2], [s1, s2, s3]) = (self.up, self.gather, self.scatter);
+        [u0, u1, u2, u3, g0, g1, g2, s1, s2, s3]
+    }
+}
+
+/// The hops of reduce level `l`: sibling `i` sits `i·4^{l−1}` cells past its
+/// group's corner, `dist1(i·4^{l−1}) = 2^{l−1}·dist1(i)` away (decode's
+/// scale law); sibling 0 is already there.
+fn corner_hops(l: u64) -> [Option<u64>; 4] {
+    let s = 1 << (l - 1);
+    [None, Some(s), Some(s), Some(2 * s)]
+}
+
+/// Folds four children at one cell in ascending order,
+/// `op(op(op(c0, c1), c2), c3)`: child `i` travels `hops[i]` (`None`: it
+/// already resides there). The join of the travelled paths is observed,
+/// which raises the watermarks as observing each one would.
+///
+/// Written without zipped or mapped array iterators: with them, the walks'
+/// in-cache folds measured up to 1.5× slower.
+#[inline(always)]
+fn fold4<T>(
+    kids: [(&T, Path); 4],
+    hops: [Option<u64>; 4],
+    op: &impl Fn(&T, &T) -> T,
+    acc: &mut ShardAcc,
+) -> (T, Path) {
+    let [(a, pa), (b, pb), (c, pc), (d, pd)] = kids;
+    let (mut sent, mut stayed) = (Path::ZERO, Path::ZERO);
+    for (p, hop) in [(pa, hops[0]), (pb, hops[1]), (pc, hops[2]), (pd, hops[3])] {
+        match hop {
+            Some(d) => sent = sent.join(p.step(d)),
+            None => stayed = stayed.join(p),
+        }
+    }
+    acc.observe(sent);
+    (op(&op(&op(a, b), c), d), sent.join(stayed))
+}
+
+/// A child sum `(value, path)` as [`fold4`] takes it.
+fn part<T>(t: &Tracked<T>) -> (&T, Path) {
+    (t.value(), t.path())
+}
+
+/// The scan's depth-first walk over the block `leaves`, of height
+/// `levels.len()`, whose running prefix `carry` arrives at its first cell
+/// (`None` on the array's left edge): rewrites every leaf with its result
+/// and returns the block's up-sweep sum and path.
+#[inline]
+fn scan_walk<T: Clone>(
+    leaves: &mut [Tracked<T>],
+    levels: &[ScanLevel],
+    carry: Option<(&T, Path)>,
+    identity: Option<&T>,
+    op: &impl Fn(&T, &T) -> T,
+    acc: &mut ShardAcc,
+) -> (T, Path) {
+    match levels {
+        [level] => {
+            scan_four(leaves.try_into().expect("four leaves"), level, carry, identity, op, acc)
+        }
+        _ => scan_node(leaves, levels, carry, identity, op, acc),
+    }
+}
+
+/// A node of height 2 or more: walks the four children in Z order. Child
+/// 0 is handed the block's own carry; the later children the prefix
+/// gathered at the block's first cell so far, one scatter step on.
+fn scan_node<T: Clone>(
+    leaves: &mut [Tracked<T>],
+    levels: &[ScanLevel],
+    carry: Option<(&T, Path)>,
+    identity: Option<&T>,
+    op: &impl Fn(&T, &T) -> T,
+    acc: &mut ShardAcc,
+) -> (T, Path) {
+    let (hops, below) = levels.split_last().expect("a block of height at least 2");
+    let q = leaves.len() / 4;
+    let (c0, rest) = leaves.split_at_mut(q);
+    let (c1, rest) = rest.split_at_mut(q);
+    let (c2, c3) = rest.split_at_mut(q);
+    let (s0, p0) = scan_walk(c0, below, carry, identity, op, acc);
+    let run = match carry {
+        Some((v, vp)) => (op(v, &s0), vp.join(p0.step(hops.gather[0]))),
+        None => (s0.clone(), p0.step(hops.gather[0])),
+    };
+    let (s1, p1) =
+        scan_walk(c1, below, Some(deliver(&run, hops.scatter[0], acc)), identity, op, acc);
+    let run = (op(&run.0, &s1), run.1.join(p1.step(hops.gather[1])));
+    let (s2, p2) =
+        scan_walk(c2, below, Some(deliver(&run, hops.scatter[1], acc)), identity, op, acc);
+    let run = (op(&run.0, &s2), run.1.join(p2.step(hops.gather[2])));
+    let (s3, p3) =
+        scan_walk(c3, below, Some(deliver(&run, hops.scatter[2], acc)), identity, op, acc);
+    fold4([(&s0, p0), (&s1, p1), (&s2, p2), (&s3, p3)], hops.up.map(Some), op, acc)
+}
+
+/// The running prefix `run` delivered `d` hops away, observed on arrival.
+fn deliver<'a, T>(run: &'a (T, Path), d: u64, acc: &mut ShardAcc) -> (&'a T, Path) {
+    acc.observe(run.1.step(d));
+    (&run.0, run.1.step(d))
+}
+
+/// Level 1 of the scan's walk: the up-sweep fold of four leaves, then the
+/// down-sweep fused into the leaf fold. The prefix delivered to leaf `i` is
+/// the carry folded with leaves `0…i−1`, so each leaf's result is one
+/// running prefix, computed once.
+fn scan_four<T: Clone>(
+    a: &mut [Tracked<T>; 4],
+    hops: &ScanLevel,
+    carry: Option<(&T, Path)>,
+    identity: Option<&T>,
+    op: &impl Fn(&T, &T) -> T,
+    acc: &mut ShardAcc,
+) -> (T, Path) {
+    let p = [a[0].path(), a[1].path(), a[2].path(), a[3].path()];
+    let sum =
+        fold4([part(&a[0]), part(&a[1]), part(&a[2]), part(&a[3])], hops.up.map(Some), op, acc);
+    let (gather, scatter) = (hops.gather, hops.scatter);
+    let r1 = match carry {
+        Some((_, cp)) => cp.join(p[0].step(gather[0])),
+        None => p[0].step(gather[0]),
+    };
+    let r2 = r1.join(p[1].step(gather[1]));
+    let r3 = r2.join(p[2].step(gather[2]));
+    let delivered = [r1.step(scatter[0]), r2.step(scatter[1]), r3.step(scatter[2])];
+    for d in delivered {
+        acc.observe(d);
+    }
+    match identity {
+        None => {
+            let v1 = carry.map(|(cv, _)| op(cv, a[0].value()));
+            let v2 = op(v1.as_ref().unwrap_or(a[0].value()), a[1].value());
+            let v3 = op(&v2, a[2].value());
+            let v4 = op(&v3, a[3].value());
+            if let (Some(v1), Some((_, cp))) = (v1, carry) {
+                a[0].rewrite(v1, cp.join(p[0]));
+            }
+            a[1].rewrite(v2, delivered[0].join(p[1]));
+            a[2].rewrite(v3, delivered[1].join(p[2]));
+            a[3].rewrite(v4, delivered[2].join(p[3]));
+        }
+        Some(id) => {
+            let v1 = match carry {
+                Some((cv, _)) => op(cv, a[0].value()),
+                None => a[0].value().clone(),
+            };
+            let v2 = op(&v1, a[1].value());
+            let v3 = op(&v2, a[2].value());
+            match carry {
+                Some((cv, cp)) => a[0].rewrite(cv.clone(), cp),
+                None => a[0].rewrite(id.clone(), p[0]),
+            }
+            a[1].rewrite(v1, delivered[0]);
+            a[2].rewrite(v2, delivered[1]);
+            a[3].rewrite(v3, delivered[2]);
+        }
+    }
+    sum
+}
+
+/// One node of the reduce's depth-first walk: folds the block `items`, of
+/// height `l`, onto its corner and returns the sum and its path.
+fn reduce_node<T>(
+    items: &[Tracked<T>],
+    l: u64,
+    op: &impl Fn(&T, &T) -> T,
+    acc: &mut ShardAcc,
+) -> (T, Path) {
+    if let [a, b, c, d] = items {
+        return fold4([part(a), part(b), part(c), part(d)], corner_hops(1), op, acc);
+    }
+    let q = items.len() / 4;
+    let (s0, p0) = reduce_node(&items[..q], l - 1, op, acc);
+    let (s1, p1) = reduce_node(&items[q..2 * q], l - 1, op, acc);
+    let (s2, p2) = reduce_node(&items[2 * q..3 * q], l - 1, op, acc);
+    let (s3, p3) = reduce_node(&items[3 * q..], l - 1, op, acc);
+    fold4([(&s0, p0), (&s1, p1), (&s2, p2), (&s3, p3)], corner_hops(l), op, acc)
+}
+
+impl Machine {
+    /// Charges one quadtree level whose `blocks` each send one message over
+    /// every hop in `hops`.
+    fn charge_level(&mut self, blocks: u64, hops: impl IntoIterator<Item = u64, IntoIter: Clone>) {
+        let hops = hops.into_iter();
+        self.add_energy_total(u128::from(blocks) * u128::from(hops.clone().sum::<u64>()));
+        self.add_messages(blocks * hops.count() as u64);
     }
 
     /// The Lemma IV.3 scan of one aligned power-of-four block on a bare
@@ -187,9 +354,10 @@ impl Machine {
     /// child sums at Z offset `l` of the block (level `l`), the down-sweep
     /// gathers the first three at the block's first cell and scatters the
     /// running prefixes to child blocks 1–3, and each leaf folds the prefix
-    /// it receives. Level 1 of the down-sweep is fused into the leaf fold.
-    /// `op` must be a pure function: the kernel computes each prefix value
-    /// once where the per-node code recomputes equal ones.
+    /// it receives. One depth-first walk runs both sweeps, reading and
+    /// rewriting each leaf once; level 1 of the down-sweep is fused into
+    /// the leaf fold. `op` must be a pure function: the kernel computes each
+    /// prefix value once where the per-node code recomputes equal ones.
     ///
     /// # Panics
     /// Panics if the machine is instrumented, if the block is not an
@@ -218,97 +386,15 @@ impl Machine {
             }
             return;
         }
-        // Up-sweep: sums[l - 1] holds level l's subtree sums, each gathered
-        // at Z offset l of its block.
-        let up = |l: u64| {
-            let q = 1u64 << (2 * (l - 1));
-            [0, 1, 2, 3].map(|i| Some(hop(i * q + l - 1, l)))
-        };
-        let mut sums = vec![self.fold_fours(leaves, |t| (t.value(), t.path()), up(1), &op)];
-        for l in 2..=h {
-            let level = self.fold_fours(&sums[(l - 2) as usize], |s| (&s.0, s.1), up(l), &op);
-            sums.push(level);
+        // A power of four that fits in a u64 has height at most 31.
+        let mut levels = [ScanLevel::default(); 32];
+        for l in 1..=h {
+            let level = ScanLevel::new(l);
+            self.charge_level(leaves.len() as u64 >> (2 * l), level.sends());
+            levels[l as usize - 1] = level;
         }
-        // Down-sweep: level l's carries replace its sums, and each group
-        // rewrites its children's sums with their carries. Group 0 of every
-        // level is on the array's left edge and has no carry, so slot 0
-        // keeps a stale sum that is never read as a carry.
-        for l in (2..=h).rev() {
-            let carries = std::mem::take(&mut sums[(l - 1) as usize]);
-            let (gather, scatter) = self.charge_down_level(l, carries.len());
-            let children = &mut sums[(l - 2) as usize];
-            let mut acc = ShardAcc::default();
-            for (g, carry) in carries.into_iter().enumerate() {
-                let ch = &mut children[4 * g..4 * g + 4];
-                let mut run = if g == 0 {
-                    (ch[0].0.clone(), ch[0].1.step(gather[0]))
-                } else {
-                    let (cv, cp) = carry;
-                    let run = (op(&cv, &ch[0].0), cp.join(ch[0].1.step(gather[0])));
-                    ch[0] = (cv, cp);
-                    run
-                };
-                for i in 1..3 {
-                    let delivered = run.1.step(scatter[i]);
-                    acc.observe(delivered);
-                    let next = (op(&run.0, &ch[i].0), run.1.join(ch[i].1.step(gather[i])));
-                    ch[i] = (std::mem::replace(&mut run, next).0, delivered);
-                }
-                let delivered = run.1.step(scatter[3]);
-                acc.observe(delivered);
-                ch[3] = (run.0, delivered);
-            }
-            self.absorb_watermarks(acc);
-        }
-        // Level 1 and the leaf fold: the prefix delivered to leaf `4g + i`
-        // is the group's carry folded with leaves 4g…4g+i−1, so each leaf's
-        // result is one running prefix, computed once.
-        let carries = std::mem::take(&mut sums[0]);
-        let (gather, scatter) = self.charge_down_level(1, carries.len());
         let mut acc = ShardAcc::default();
-        for ((g, carry), a) in carries.into_iter().enumerate().zip(leaves.chunks_exact_mut(4)) {
-            let carry = (g > 0).then_some(carry);
-            let p = [0, 1, 2, 3].map(|i| a[i].path());
-            let r1 = match &carry {
-                Some((_, cp)) => cp.join(p[0].step(gather[0])),
-                None => p[0].step(gather[0]),
-            };
-            let r2 = r1.join(p[1].step(gather[1]));
-            let r3 = r2.join(p[2].step(gather[2]));
-            let delivered = [r1.step(scatter[1]), r2.step(scatter[2]), r3.step(scatter[3])];
-            for d in delivered {
-                acc.observe(d);
-            }
-            match identity {
-                None => {
-                    let v1 = carry.as_ref().map(|(cv, _)| op(cv, a[0].value()));
-                    let v2 = op(v1.as_ref().unwrap_or(a[0].value()), a[1].value());
-                    let v3 = op(&v2, a[2].value());
-                    let v4 = op(&v3, a[3].value());
-                    if let (Some(v1), Some((_, cp))) = (v1, carry) {
-                        a[0].rewrite(v1, cp.join(p[0]));
-                    }
-                    a[1].rewrite(v2, delivered[0].join(p[1]));
-                    a[2].rewrite(v3, delivered[1].join(p[2]));
-                    a[3].rewrite(v4, delivered[2].join(p[3]));
-                }
-                Some(id) => {
-                    let v1 = match &carry {
-                        Some((cv, _)) => op(cv, a[0].value()),
-                        None => a[0].value().clone(),
-                    };
-                    let v2 = op(&v1, a[1].value());
-                    let v3 = op(&v2, a[2].value());
-                    match carry {
-                        Some((cv, cp)) => a[0].rewrite(cv, cp),
-                        None => a[0].rewrite(id.clone(), p[0]),
-                    }
-                    a[1].rewrite(v1, delivered[0]);
-                    a[2].rewrite(v2, delivered[1]);
-                    a[3].rewrite(v3, delivered[2]);
-                }
-            }
-        }
+        scan_walk(leaves, &levels[..h as usize], None, identity, &op, &mut acc);
         self.absorb_watermarks(acc);
     }
 
@@ -375,7 +461,8 @@ impl Machine {
     /// Z-index `start + i`) onto its first cell on a bare machine, charged
     /// level by level in closed form. Bit-identical to the per-level
     /// quadrant reduce in `collectives::zseg`: each group of four partials
-    /// folds onto the group's corner, siblings in ascending order.
+    /// folds onto the group's corner, siblings in ascending order. One
+    /// depth-first walk folds every group.
     ///
     /// # Panics
     /// Panics if the machine is instrumented, if the block is not an
@@ -399,14 +486,12 @@ impl Machine {
         if h == 0 {
             return items.pop().expect("a block of one");
         }
-        // Sibling i of a group at stride s sits i·s cells past the corner.
-        let hops = |s: u64| [None, Some(dist1(s)), Some(dist1(2 * s)), Some(dist1(3 * s))];
-        let mut level = self.fold_fours(&items, |t| (t.value(), t.path()), hops(1), &op);
-        drop(items);
-        for j in 1..h {
-            level = self.fold_fours(&level, |s| (&s.0, s.1), hops(1 << (2 * j)), &op);
+        for l in 1..=h {
+            self.charge_level(items.len() as u64 >> (2 * l), corner_hops(l).into_iter().flatten());
         }
-        let (value, path) = level.pop().expect("one root");
+        let mut acc = ShardAcc::default();
+        let (value, path) = reduce_node(&items, h, &op, &mut acc);
+        self.absorb_watermarks(acc);
         Tracked::raw(value, zorder::coord_of(start), path)
     }
 

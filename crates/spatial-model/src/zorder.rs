@@ -131,9 +131,17 @@ pub fn is_power_of_four(x: u64) -> bool {
     x.is_power_of_two() && x.trailing_zeros().is_multiple_of(2)
 }
 
+/// The largest power of four a `u64` holds, `4^31`: the longest array the
+/// Z-order model lays out.
+pub const MAX_POWER_OF_FOUR: u64 = 1 << 62;
+
 /// Rounds `n` up to the next power of four (`next_power_of_four(0) == 1`).
+///
+/// # Panics
+/// Panics if `n` exceeds [`MAX_POWER_OF_FOUR`].
 #[inline]
 pub fn next_power_of_four(n: u64) -> u64 {
+    assert!(n <= MAX_POWER_OF_FOUR, "{n} exceeds 4^31, the largest power of four in a u64");
     let mut p = 1u64;
     while p < n {
         p *= 4;
@@ -149,6 +157,14 @@ pub fn coords(lo: u64, hi: u64) -> impl Iterator<Item = Coord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn next_power_of_four_reaches_the_largest_and_refuses_beyond() {
+        assert_eq!(next_power_of_four(MAX_POWER_OF_FOUR), MAX_POWER_OF_FOUR);
+        assert_eq!(next_power_of_four((1 << 60) + 1), MAX_POWER_OF_FOUR);
+        let beyond = std::panic::catch_unwind(|| next_power_of_four(MAX_POWER_OF_FOUR + 1));
+        assert!(beyond.is_err(), "4^31 + 1 has no power of four in a u64");
+    }
 
     #[test]
     fn first_sixteen_indices_follow_paper_order() {

@@ -70,6 +70,7 @@
 //! | 15 | transport disconnect (client retries exhausted / session torn) |
 
 use spatial_dataflow::collectives::scan_any;
+use spatial_dataflow::model::zorder;
 use spatial_dataflow::prelude::*;
 use spatial_dataflow::recovery::{run_with_recovery, EXIT_RECOVERY_EXHAUSTED};
 use spatial_dataflow::theory::{self, Metric, Shape};
@@ -217,7 +218,13 @@ fn parse(mut argv: std::env::Args) -> (String, Args) {
     while let Some(flag) = it.next() {
         let mut val = || it.next().unwrap_or_else(|| usage());
         match flag.as_str() {
-            "--n" => args.n = val().parse().unwrap_or_else(|_| usage()),
+            "--n" => {
+                args.n = val().parse().unwrap_or_else(|_| usage());
+                if args.n as u64 > zorder::MAX_POWER_OF_FOUR {
+                    eprintln!("error: --n {} exceeds 4^31, the largest Z-order array", args.n);
+                    std::process::exit(2);
+                }
+            }
             "--k" => args.k = val().parse().unwrap_or_else(|_| usage()),
             "--nnz-per-row" => args.nnz_per_row = val().parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = val().parse().unwrap_or_else(|_| usage()),
@@ -458,7 +465,7 @@ fn rank_arg(cmd: &str, a: &Args, default: u64) -> u64 {
 
 /// Side of the Z-order square holding `n` elements from index 0.
 fn z_side(n: u64) -> u64 {
-    let padded = spatial_dataflow::model::zorder::next_power_of_four(n.max(1));
+    let padded = zorder::next_power_of_four(n.max(1));
     (padded as f64).sqrt() as u64
 }
 

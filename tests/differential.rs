@@ -383,6 +383,13 @@ fn letters(rng: &mut Rng, n: u64) -> Vec<String> {
     (0..n).map(|_| char::from(b'a' + rng.gen_range(0u8..26)).to_string()).collect()
 }
 
+/// An integer fold that is neither commutative nor associative, so equal
+/// results take the same operands in the same bracketing (with high
+/// probability: it hashes the fold tree).
+fn mix(a: &i64, b: &i64) -> i64 {
+    (a ^ b.rotate_left(17)).wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64)
+}
+
 /// Concatenation that brackets every fold: neither commutative nor
 /// associative, so each value spells out the exact fold tree that built it
 /// and both paths must combine the same operands in the same shape.
@@ -434,6 +441,39 @@ fn differential_level_kernels_match_the_replay_on_aligned_blocks() {
         let n = 1u64 << (2 * k);
         for lo in [0, n, 3 * n] {
             assert_collectives_match_replay(&mut rng, lo, n);
+        }
+    }
+}
+
+/// The scan and reduce kernels recurse once per level of the block: kernel ≡
+/// replay on aligned blocks of 4^7 and 4^8 cells, folded by [`mix`] (the
+/// bracketing concatenation grows quadratically at this size).
+#[test]
+fn differential_level_kernels_match_the_replay_on_deep_blocks() {
+    let mut rng = Rng::seed_from_u64(0xDEE9);
+    for k in [7, 8] {
+        let n = 1u64 << (2 * k);
+        for lo in [0, 3 * n] {
+            let vals: Vec<i64> = (0..n).map(|_| rng.gen_range(-99i64..=99)).collect();
+            let heads: Vec<SegItem<i64>> =
+                vals.iter().map(|&v| SegItem::new(rng.gen_bool(0.25), v)).collect();
+            let at = format!("lo={lo} n={n}");
+            assert_kernel_matches_replay(&format!("scan {at}"), |m| {
+                let items = place_with_paths(m, lo, vals.clone());
+                scan(m, lo, items, &mix)
+            });
+            assert_kernel_matches_replay(&format!("scan_exclusive {at}"), |m| {
+                let items = place_with_paths(m, lo, vals.clone());
+                scan_exclusive(m, lo, items, 7, &mix)
+            });
+            assert_kernel_matches_replay(&format!("segmented_scan {at}"), |m| {
+                let items = place_with_paths(m, lo, heads.clone());
+                segmented_scan(m, lo, items, &mix)
+            });
+            assert_kernel_matches_replay(&format!("reduce_z {at}"), |m| {
+                let items = place_with_paths(m, lo, vals.clone());
+                vec![reduce_z(m, items, lo, &mix)]
+            });
         }
     }
 }

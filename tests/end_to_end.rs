@@ -246,6 +246,19 @@ mod cli_exit_codes {
     }
 
     #[test]
+    fn an_n_beyond_the_z_order_model_is_a_usage_error() {
+        // 4^31 is the largest array the model lays out; beyond it the
+        // padding to a power of four would wrap, so --n refuses it up front.
+        for cmd in ["scan", "sort", "select", "topk", "spmv"] {
+            for n in [(1u64 << 62) + 1, u64::MAX] {
+                let out = assert_exit(&[cmd, "--n", &n.to_string()], 2);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert!(stderr.contains("exceeds 4^31"), "{cmd} --n {n}: {stderr}");
+            }
+        }
+    }
+
+    #[test]
     fn unknown_profile_is_a_typed_usage_error() {
         // A bad --profile must exit 2 with a message naming the stranger and
         // listing the built-ins — not the generic usage dump, and certainly
