@@ -18,7 +18,7 @@
 //!   work the journal already knows how to redo, never work it has no
 //!   record of.
 //!
-//! * **`snapshot.json`** — a versioned (`spatial-serve-snapshot/v1`)
+//! * **`snapshot.json`** — a versioned (`spatial-serve-snapshot/v2`)
 //!   point-in-time image of the serve state (tenant ledgers, rolling
 //!   aggregates, warm cache in LRU order), written at clean shutdown via
 //!   write-to-temp + `rename` so a crash mid-write can never leave a
@@ -55,6 +55,7 @@ use workloads::arrays::ArrayKind;
 use crate::cache::CacheKey;
 use crate::job::{FaultCfg, JobKind, JobResult, Outcome};
 use crate::json::{escape, Json};
+use crate::report::Multiset;
 use crate::tenant::{ExtentCap, RateLimit, TenantConfig, TenantSnapshot};
 
 /// The write-ahead log file name inside a journal directory.
@@ -62,7 +63,7 @@ pub const WAL_FILE: &str = "journal.log";
 /// The snapshot file name inside a journal directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.json";
 /// The snapshot schema tag.
-pub const SNAPSHOT_SCHEMA: &str = "spatial-serve-snapshot/v1";
+pub const SNAPSHOT_SCHEMA: &str = "spatial-serve-snapshot/v2";
 
 /// FNV-1a 64-bit hash — the record checksum.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -228,10 +229,8 @@ pub struct Aggregate {
     pub attempts: u64,
     /// Total model energy.
     pub energy_total: u64,
-    /// Per-job energies (percentile source), emission order.
-    pub energies: Vec<u64>,
-    /// Per-job wall times (non-canonical percentile source).
-    pub walls: Vec<u64>,
+    /// Per-job energies, the percentile source.
+    pub energies: Multiset,
     /// Cache hits observed.
     pub cache_hits: u64,
     /// Cache lookups observed.
@@ -272,6 +271,12 @@ fn u_list(xs: &[u64]) -> String {
     format!("[{}]", items.join(", "))
 }
 
+/// A multiset as `[value, count]` pairs in value order.
+fn multiset_json(m: &Multiset) -> String {
+    let pairs: Vec<String> = m.counts().map(|(v, c)| format!("[{}, {}]", u(v), u(c))).collect();
+    format!("[{}]", pairs.join(", "))
+}
+
 fn f_bits(x: f64) -> String {
     format!("\"{:016x}\"", x.to_bits())
 }
@@ -290,6 +295,14 @@ fn get_opt_u(v: &Json, key: &str) -> Option<Option<u64>> {
 
 fn get_u_list(v: &Json, key: &str) -> Option<Vec<u64>> {
     v.get(key)?.as_array()?.iter().map(|j| j.as_str()?.parse().ok()).collect()
+}
+
+fn get_multiset(v: &Json, key: &str) -> Option<Multiset> {
+    let pairs = v.get(key)?.as_array()?.iter().map(|pair| match pair.as_array()? {
+        [value, count] => Some((value.as_str()?.parse().ok()?, count.as_str()?.parse().ok()?)),
+        _ => None,
+    });
+    Multiset::from_counts(pairs.collect::<Option<Vec<_>>>()?)
 }
 
 fn get_f_bits(j: &Json) -> Option<f64> {
@@ -486,7 +499,7 @@ impl Snapshot {
         format!(
             "{{\"schema\": \"{SNAPSHOT_SCHEMA}\", \"lines\": {}, \"emitted\": {}, \
              \"tenants\": [{}], \"agg\": {{\"jobs\": {}, \"counts\": {}, \"attempts\": {}, \
-             \"energy_total\": {}, \"energies\": {}, \"walls\": {}, \"cache_hits\": {}, \
+             \"energy_total\": {}, \"energies\": {}, \"cache_hits\": {}, \
              \"cache_lookups\": {}}}, \"cache\": [{}]}}\n",
             u(self.lines),
             u(self.emitted),
@@ -495,8 +508,7 @@ impl Snapshot {
             u_list(&self.agg.counts),
             u(self.agg.attempts),
             u(self.agg.energy_total),
-            u_list(&self.agg.energies),
-            u_list(&self.agg.walls),
+            multiset_json(&self.agg.energies),
             u(self.agg.cache_hits),
             u(self.agg.cache_lookups),
             cache.join(", ")
@@ -517,8 +529,7 @@ impl Snapshot {
             counts: get_u_list(agg_v, "counts")?.try_into().ok()?,
             attempts: get_u(agg_v, "attempts")?,
             energy_total: get_u(agg_v, "energy_total")?,
-            energies: get_u_list(agg_v, "energies")?,
-            walls: get_u_list(agg_v, "walls")?,
+            energies: get_multiset(agg_v, "energies")?,
             cache_hits: get_u(agg_v, "cache_hits")?,
             cache_lookups: get_u(agg_v, "cache_lookups")?,
         };
@@ -698,8 +709,8 @@ mod tests {
                 counts: [3, 1, 0, 0, 1, 0, 0, 0],
                 attempts: 6,
                 energy_total: 4242,
-                energies: vec![100, 2000, 2142],
-                walls: vec![1, 2, 3],
+                energies: Multiset::from_counts([(0, 1), (2142, 2), (u64::MAX, u64::MAX - 3)])
+                    .expect("a valid multiset"),
                 cache_hits: 2,
                 cache_lookups: 4,
             },
@@ -724,13 +735,20 @@ mod tests {
         let json = snap.to_json();
         assert_eq!(read_snapshot(&dir), Some(snap));
         // A torn or garbage snapshot is ignored, not fatal; so is one whose
-        // counts list has the wrong length (7 or 9 outcomes instead of 8).
+        // counts list has the wrong length (7 or 9 outcomes instead of 8),
+        // or whose energy pairs no pushes could have built.
         let counts = r#""counts": ["3", "1", "0", "0", "1", "0", "0", "0"]"#;
-        for wrong in [
-            r#""counts": ["3", "1", "0", "0", "1", "0", "0"]"#,
-            r#""counts": ["3", "1", "0", "0", "1", "0", "0", "0", "0"]"#,
+        let energies = r#""energies": [["0", "1"], ["2142", "2"], "#;
+        for (right, wrong) in [
+            (counts, r#""counts": ["3", "1", "0", "0", "1", "0", "0"]"#),
+            (counts, r#""counts": ["3", "1", "0", "0", "1", "0", "0", "0", "0"]"#),
+            (energies, r#""energies": [["0", "1"], ["2142", "0"], "#),
+            (energies, r#""energies": [["2142", "2"], ["0", "1"], "#),
+            (energies, r#""energies": [["0", "1"], ["2142", "2", "9"], "#),
+            (energies, r#""energies": [["0", "1"], ["2142", "3"], "#),
         ] {
-            fs::write(dir.join(SNAPSHOT_FILE), json.replace(counts, wrong)).unwrap();
+            assert!(json.contains(right), "{json}");
+            fs::write(dir.join(SNAPSHOT_FILE), json.replace(right, wrong)).unwrap();
             assert_eq!(read_snapshot(&dir), None, "{wrong}");
         }
         fs::write(dir.join(SNAPSHOT_FILE), "{\"schema\": \"spatial-serve-sn").unwrap();

@@ -18,6 +18,8 @@
 //! every emitted byte is identical to the pre-profile writer, which keeps
 //! the pinned canonical goldens valid.
 
+use std::collections::BTreeMap;
+
 use spatial_core::model::{Cost, ProfiledCost};
 
 use crate::job::{JobResult, Outcome};
@@ -84,11 +86,10 @@ impl BatchReport {
     }
 
     fn aggregate_json(&self, include_wall: bool) -> String {
-        let energies: Vec<u64> =
-            self.jobs.iter().filter_map(|j| j.cost.map(|c| c.energy)).collect();
-        let walls: Vec<u64> = self.jobs.iter().map(|j| j.wall_ms).collect();
+        let energy = |j: &JobResult| j.cost.map(|c| c.energy);
+        let energies: Multiset = self.jobs.iter().filter_map(energy).collect();
         let attempts: u32 = self.jobs.iter().map(|j| j.attempts).sum();
-        let energy_total: u64 = energies.iter().sum();
+        let energy_total: u64 = self.jobs.iter().filter_map(energy).sum();
         let detour_total: u64 = self.jobs.iter().map(|j| j.detour_energy).sum();
         let backoff_total: u64 = self.jobs.iter().map(|j| j.backoff_ms).sum();
         let mut s = String::new();
@@ -101,7 +102,7 @@ impl BatchReport {
         s.push_str(&format!("    \"energy_total\": {energy_total},\n"));
         s.push_str(&format!("    \"detour_energy_total\": {detour_total},\n"));
         s.push_str(&format!("    \"backoff_ms_total\": {backoff_total},\n"));
-        s.push_str(&format!("    \"energy_p50\": {},\n", json_opt(percentile(&energies, 50))));
+        s.push_str(&format!("    \"energy_p50\": {},\n", json_opt(energies.percentile(50))));
         if self.profile.is_some() {
             // Energy is additive across jobs (each pJ total is linear in the
             // summed counters); EDP is not, so `edp_total` is the plain sum
@@ -120,10 +121,11 @@ impl BatchReport {
             s.push_str(&format!("    \"total_pj\": \"{total_pj}\",\n"));
             s.push_str(&format!("    \"edp_total\": \"{edp_total}\",\n"));
         }
-        s.push_str(&format!("    \"energy_p99\": {}", json_opt(percentile(&energies, 99))));
+        s.push_str(&format!("    \"energy_p99\": {}", json_opt(energies.percentile(99))));
         if include_wall {
-            s.push_str(&format!(",\n    \"wall_ms_p50\": {}", json_opt(percentile(&walls, 50))));
-            s.push_str(&format!(",\n    \"wall_ms_p99\": {}", json_opt(percentile(&walls, 99))));
+            let walls: Multiset = self.jobs.iter().map(|j| j.wall_ms).collect();
+            s.push_str(&format!(",\n    \"wall_ms_p50\": {}", json_opt(walls.percentile(50))));
+            s.push_str(&format!(",\n    \"wall_ms_p99\": {}", json_opt(walls.percentile(99))));
             let messages: u64 = self.jobs.iter().filter_map(|j| j.cost.map(|c| c.messages)).sum();
             let busy: u64 = self.jobs.iter().filter(|j| j.cost.is_some()).map(|j| j.wall_ms).sum();
             s.push_str(&format!(
@@ -208,16 +210,69 @@ fn msgs_per_sec(messages: u64, wall_ms: u64) -> Option<u64> {
     Some(messages.saturating_mul(1000) / wall_ms)
 }
 
-/// Nearest-rank percentile (`p` in 0..=100) of `values`; `None` on empty
-/// input.
-pub fn percentile(values: &[u64], p: u32) -> Option<u64> {
-    if values.is_empty() {
-        return None;
+/// An exact multiset of `u64` values: value → count, plus the total.
+///
+/// A nearest-rank percentile depends only on the multiset of values, and
+/// the traffic a daemon aggregates has few distinct ones (energies repeat
+/// per cached job, wall times are whole milliseconds), so this holds
+/// O(distinct values) however many are pushed, and [`Multiset::percentile`]
+/// walks the counts without allocating. Every count is at least 1 and the
+/// total is their sum; the fields are private to keep both true.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Multiset {
+    counts: BTreeMap<u64, u64>,
+    total: u64,
+}
+
+impl Multiset {
+    /// Adds one occurrence of `value`.
+    pub fn push(&mut self, value: u64) {
+        *self.counts.entry(value).or_insert(0) += 1;
+        self.total += 1;
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_unstable();
-    let rank = ((u64::from(p) * sorted.len() as u64).div_ceil(100)).max(1) as usize;
-    Some(sorted[rank.min(sorted.len()) - 1])
+
+    /// Nearest-rank percentile (`p` in 0..=100): the smallest value whose
+    /// running count reaches `max(1, ⌈p·total/100⌉)`; `None` when empty.
+    pub fn percentile(&self, p: u32) -> Option<u64> {
+        if self.total == 0 {
+            return None;
+        }
+        let total = u128::from(self.total);
+        let rank = (u128::from(p) * total).div_ceil(100).clamp(1, total);
+        let mut seen = 0u128;
+        self.counts.iter().find_map(|(&value, &count)| {
+            seen += u128::from(count);
+            (seen >= rank).then_some(value)
+        })
+    }
+
+    /// `(value, count)` pairs in increasing value order.
+    pub fn counts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.counts.iter().map(|(&value, &count)| (value, count))
+    }
+
+    /// Rebuilds a multiset from [`Multiset::counts`] output; `None` unless
+    /// the values strictly increase, every count is at least 1 and the
+    /// counts sum to at most `u64::MAX`.
+    pub fn from_counts(pairs: impl IntoIterator<Item = (u64, u64)>) -> Option<Multiset> {
+        let mut m = Multiset::default();
+        for (value, count) in pairs {
+            if count == 0 || m.counts.last_key_value().is_some_and(|(&last, _)| last >= value) {
+                return None;
+            }
+            m.total = m.total.checked_add(count)?;
+            m.counts.insert(value, count);
+        }
+        Some(m)
+    }
+}
+
+impl FromIterator<u64> for Multiset {
+    fn from_iter<I: IntoIterator<Item = u64>>(values: I) -> Multiset {
+        let mut m = Multiset::default();
+        values.into_iter().for_each(|v| m.push(v));
+        m
+    }
 }
 
 #[cfg(test)]
@@ -337,13 +392,72 @@ mod tests {
 
     #[test]
     fn nearest_rank_percentiles() {
-        assert_eq!(percentile(&[], 50), None);
-        assert_eq!(percentile(&[7], 50), Some(7));
-        assert_eq!(percentile(&[1, 2, 3, 4], 50), Some(2));
-        assert_eq!(percentile(&[1, 2, 3, 4], 99), Some(4));
-        assert_eq!(percentile(&[4, 1, 3, 2], 25), Some(1), "unsorted input is sorted first");
-        let hundred: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&hundred, 50), Some(50));
-        assert_eq!(percentile(&hundred, 99), Some(99));
+        let of = |values: &[u64]| values.iter().copied().collect::<Multiset>();
+        assert_eq!(of(&[]).percentile(50), None);
+        assert_eq!(of(&[7]).percentile(50), Some(7));
+        assert_eq!(of(&[1, 2, 3, 4]).percentile(50), Some(2));
+        assert_eq!(of(&[1, 2, 3, 4]).percentile(99), Some(4));
+        assert_eq!(of(&[4, 1, 3, 2]).percentile(25), Some(1), "push order does not matter");
+        let hundred: Multiset = (1..=100).collect();
+        assert_eq!(hundred.percentile(50), Some(50));
+        assert_eq!(hundred.percentile(99), Some(99));
+    }
+
+    /// The clone-and-sort nearest-rank percentile the multiset replaced,
+    /// kept as the oracle.
+    fn sorted_percentile(values: &[u64], p: u32) -> Option<u64> {
+        if values.is_empty() {
+            return None;
+        }
+        let mut sorted = values.to_vec();
+        sorted.sort_unstable();
+        let rank = ((u64::from(p) * sorted.len() as u64).div_ceil(100)).max(1) as usize;
+        Some(sorted[rank.min(sorted.len()) - 1])
+    }
+
+    #[test]
+    fn multiset_percentiles_match_the_sorted_oracle_in_any_push_order() {
+        use spatial_core::check::{check, Gen};
+        use spatial_core::prop_assert_eq;
+
+        check("multiset_percentiles_match_the_sorted_oracle_in_any_push_order", |g: &mut Gen| {
+            // Every case covers lengths 0, 1 and 2, then one in 0..=300.
+            for len in [0, 1, 2, g.size(0..=300)] {
+                // Few distinct values, as a daemon's energies are, or the
+                // full range; 0 and u64::MAX are always among them.
+                let few = g.bool_p(0.5);
+                let rest = g.vec(len.saturating_sub(2), |g| {
+                    if few {
+                        g.int(0..4u64)
+                    } else {
+                        g.int(0..=u64::MAX)
+                    }
+                });
+                let mut values: Vec<u64> =
+                    [0, u64::MAX].into_iter().chain(rest).take(len).collect();
+                g.rng().shuffle(&mut values);
+                let m: Multiset = values.iter().copied().collect();
+                for p in [0, 1, 50, 99, 100] {
+                    prop_assert_eq!(m.percentile(p), sorted_percentile(&values, p), "p{p}");
+                }
+                g.rng().shuffle(&mut values);
+                prop_assert_eq!(values.iter().copied().collect::<Multiset>(), m, "reordered");
+                prop_assert_eq!(Multiset::from_counts(m.counts()), Some(m));
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn from_counts_refuses_what_push_cannot_build() {
+        assert_eq!(Multiset::from_counts([]), Some(Multiset::default()));
+        assert_eq!(Multiset::from_counts([(3, 1), (7, 2)]), Some([7, 3, 7].into_iter().collect()));
+        assert_eq!(Multiset::from_counts([(3, 0)]), None, "a zero count");
+        assert_eq!(Multiset::from_counts([(7, 1), (3, 1)]), None, "values out of order");
+        assert_eq!(Multiset::from_counts([(3, 1), (3, 1)]), None, "a repeated value");
+        assert_eq!(Multiset::from_counts([(0, u64::MAX), (1, 1)]), None, "total past u64::MAX");
+        let full = Multiset::from_counts([(0, u64::MAX - 1), (u64::MAX, 1)]).unwrap();
+        assert_eq!(full.percentile(100), Some(u64::MAX));
+        assert_eq!(full.percentile(99), Some(0));
     }
 }

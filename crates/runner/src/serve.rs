@@ -70,7 +70,7 @@ use crate::job::{execute, FaultCfg, JobKind, JobResult, JobSpec, Outcome};
 use crate::journal::{Aggregate, Journal, RecordKind, Recovered, Snapshot};
 use crate::json::{escape, Json};
 use crate::pool::{lock, panic_message, Watchdog};
-use crate::report::{cost_json, percentile};
+use crate::report::{cost_json, Multiset};
 use crate::tenant::{DrrScheduler, ExtentCap, RateLimit, Refusal, Submission, TenantConfig};
 
 /// Serving-loop configuration.
@@ -210,6 +210,10 @@ struct Core<W: Write> {
     closed: bool,
     canonical: bool,
     agg: Aggregate,
+    /// Per-job wall times for the non-canonical `stats` line. Outside
+    /// [`Aggregate`]: a journal requires canonical mode, which never
+    /// prints them, so a snapshot has no use for them.
+    walls: Multiset,
     io_err: Option<io::Error>,
     summary: ServeSummary,
     /// Open write-ahead journal, if crash safety is on.
@@ -296,6 +300,7 @@ pub fn serve<R: BufRead, W: Write + Send>(
         closed: false,
         canonical: cfg.canonical,
         agg,
+        walls: Multiset::default(),
         io_err: None,
         summary: ServeSummary::default(),
         journal,
@@ -654,7 +659,7 @@ fn try_emit<W: Write>(g: &mut Core<W>) {
                     g.agg.energy_total += e;
                     g.agg.energies.push(e);
                 }
-                g.agg.walls.push(wall_ms);
+                g.walls.push(wall_ms);
                 if looked_up {
                     g.agg.cache_lookups += 1;
                     g.agg.cache_hits += u64::from(cached);
@@ -663,7 +668,7 @@ fn try_emit<W: Write>(g: &mut Core<W>) {
             }
             Pending::Stats => {
                 let (len, cap) = (g.cache.len(), g.cache.capacity());
-                stats_line(g.next_out, &g.agg, g.canonical, len, cap)
+                stats_line(g.next_out, &g.agg, &g.walls, g.canonical, len, cap)
             }
         };
         if g.io_err.is_none() {
@@ -740,6 +745,7 @@ fn job_line(seq: u64, tenant: &str, j: &JobResult, cached: bool, canonical: bool
 fn stats_line(
     seq: u64,
     agg: &Aggregate,
+    walls: &Multiset,
     canonical: bool,
     cache_len: usize,
     cache_cap: usize,
@@ -762,8 +768,8 @@ fn stats_line(
     s.push_str(&format!("\"energy_total\": {}, ", agg.energy_total));
     s.push_str(&format!("\"shed_rate\": {}, ", rate(agg.counts[Outcome::Shed.index()])));
     s.push_str(&format!("\"degradation_rate\": {}, ", rate(agg.counts[Outcome::Degraded.index()])));
-    s.push_str(&format!("\"energy_p50\": {}, ", opt(percentile(&agg.energies, 50))));
-    s.push_str(&format!("\"energy_p99\": {}", opt(percentile(&agg.energies, 99))));
+    s.push_str(&format!("\"energy_p50\": {}, ", opt(agg.energies.percentile(50))));
+    s.push_str(&format!("\"energy_p99\": {}", opt(agg.energies.percentile(99))));
     if !canonical {
         let hit_rate = if agg.cache_lookups == 0 {
             "null".into()
@@ -777,8 +783,8 @@ fn stats_line(
         s.push_str(&format!(", \"cache_len\": {cache_len}, \"cache_capacity\": {cache_cap}"));
         s.push_str(&format!(
             ", \"wall_ms_p50\": {}, \"wall_ms_p99\": {}",
-            opt(percentile(&agg.walls, 50)),
-            opt(percentile(&agg.walls, 99))
+            opt(walls.percentile(50)),
+            opt(walls.percentile(99))
         ));
     }
     s.push('}');
@@ -1276,6 +1282,81 @@ this is not json
         let stats = whole.lines().last().unwrap();
         assert_eq!(field(stats, "extent-refused"), "1");
         assert_eq!(String::from_utf8(out).unwrap(), format!("{stats}\n"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_v1_snapshot_is_refused_and_the_journal_replays() {
+        let dir = std::env::temp_dir().join(format!("spatial-serve-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let input = r#"{"op": "tenant", "tenant": "t", "budget": 10000000}
+{"kind": "sort", "n": 64, "seed": 1, "tenant": "t", "id": "one"}
+{"kind": "scan", "n": 64, "seed": 2, "tenant": "t", "id": "two"}
+{"kind": "sort", "n": 64, "seed": 1, "tenant": "t", "id": "again"}
+"#;
+        let cfg = ServeConfig {
+            workers: 2,
+            canonical: true,
+            journal: Some(dir.clone()),
+            ..Default::default()
+        };
+        serve(io::Cursor::new(input.to_string()), io::sink(), &cfg).expect("first run");
+
+        // Rewrite the snapshot in the v1 layout: the v1 schema tag, one
+        // energy and one wall time listed per job.
+        let path = dir.join(crate::journal::SNAPSHOT_FILE);
+        let v2 = std::fs::read_to_string(&path).unwrap();
+        let snap = Snapshot::parse(&v2).expect("a v2 snapshot");
+        let per_job: Vec<String> = snap
+            .agg
+            .energies
+            .counts()
+            .flat_map(|(v, count)| std::iter::repeat_n(format!("\"{v}\""), count as usize))
+            .collect();
+        assert_eq!(per_job.len(), 3);
+        let start = v2.find("\"energies\": ").unwrap();
+        let end = v2.find(", \"cache_hits\"").unwrap();
+        let v1 = format!(
+            "{}\"energies\": [{}], \"walls\": [\"0\", \"0\", \"0\"]{}",
+            &v2[..start],
+            per_job.join(", "),
+            &v2[end..]
+        )
+        .replace("spatial-serve-snapshot/v2", "spatial-serve-snapshot/v1");
+        std::fs::write(&path, v1).unwrap();
+        assert_eq!(crate::journal::read_snapshot(&dir), None, "v1 fails the schema check");
+
+        let extended = format!("{input}{{\"op\": \"stats\"}}\n");
+        let mut out = Vec::new();
+        let cfg2 = ServeConfig { resume_from: 4, ..cfg.clone() };
+        let s = serve(io::Cursor::new(extended.clone()), &mut out, &cfg2).expect("recover");
+        assert_eq!(s.replayed, 4, "the journal replays the whole prefix");
+        let (whole, _) = run(&extended, 2, true);
+        let stats = whole.lines().last().unwrap();
+        assert_eq!(field(stats, "jobs"), "3");
+        assert_eq!(String::from_utf8(out).unwrap(), format!("{stats}\n"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_long_journaled_session_snapshots_one_entry_per_distinct_energy() {
+        let dir = std::env::temp_dir().join(format!("spatial-serve-long-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pair = "{\"kind\": \"scan\", \"n\": 16, \"seed\": 1}\n\
+                    {\"kind\": \"sort\", \"n\": 16, \"seed\": 1}\n";
+        let cfg = ServeConfig {
+            workers: 2,
+            canonical: true,
+            journal: Some(dir.clone()),
+            ..Default::default()
+        };
+        let s = serve(io::Cursor::new(pair.repeat(1000)), io::sink(), &cfg).expect("serve");
+        assert_eq!(s.jobs, 2000);
+        let json = std::fs::read_to_string(dir.join(crate::journal::SNAPSHOT_FILE)).unwrap();
+        assert!(!json.contains("walls"), "{json}");
+        let snap = Snapshot::parse(&json).expect("a v2 snapshot");
+        let counts: Vec<u64> = snap.agg.energies.counts().map(|(_, count)| count).collect();
+        assert_eq!(counts, [1000, 1000], "scan and sort energies, 1000 jobs each");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
