@@ -15,21 +15,13 @@
 //!   directory.
 //! * `--smoke` — CI-sized run (scan 2^14, sort 2^12), writes under
 //!   `target/spatial-bench/`, and when a committed `BENCH_simcore.json` is
-//!   present compares messages/sec per benchmark id, **failing (exit 1) on a
-//!   regression of more than 25%** — against the committed `serial` section
-//!   when the run is pinned to `SPATIAL_SIM_THREADS=1`, the `benchmarks`
-//!   section otherwise. An id with no reference entry fails the gate too.
-//!   A scaling gate then runs sort_z/65536 at 1 and 2 threads and fails
-//!   if the threaded setting is slower than 95% of serial: mid-sized sorts
-//!   sit below the shard engine's amortization threshold, so a thread
-//!   setting above one must be free there. It and the profile gate
-//!   (wse-like vs bare) each sample five back-to-back pairs of the two
-//!   settings and gate on the median per-pair ratio, so host drift between
-//!   the settings cancels.
-//!
-//! Full runs additionally record a `serial` section (every id but the 2^20
-//! mergesort, re-measured with one shard) and a `scaling` section (the
-//! sort_z/65536 messages/sec at 1, 2, 4 and all available workers).
+//!   present compares messages/sec per benchmark id against its
+//!   `benchmarks` section, **failing (exit 1) on a regression of more than
+//!   25%**. An id with no reference entry fails the gate too. A profile
+//!   gate then checks that a cost profile stays off the simulation: a
+//!   sort_z/65536 run charged under wse-like must report raw counters
+//!   exactly equal to a bare run's, and the charge itself must cost under
+//!   5% of the bare run it prices (nanoseconds against most of a second).
 //!
 //! Environment:
 //!
@@ -45,7 +37,7 @@ use std::time::Instant;
 use bench::pseudo;
 use runner::json::Json;
 use spatial_core::collectives::{place_z, scan};
-use spatial_core::model::{set_sim_threads, sim_threads, Machine};
+use spatial_core::model::{Cost, Machine, WSE_LIKE};
 use spatial_core::sorting::sort_z;
 
 /// One measured benchmark: wall time and message count of a full primitive
@@ -118,79 +110,16 @@ fn sort_bench(n: usize, huge: bool) -> Throughput {
     })
 }
 
-/// One point of the thread-scaling curve: a benchmark re-run with the
-/// sharded bare path pinned to a fixed worker count.
-struct ScalePoint {
-    id: String,
-    threads: usize,
-    msgs_per_sec: u64,
-}
-
-/// Median messages/sec of `samples` fresh sort runs — a lean probe for the
-/// scaling curve and the two-setting gates, which cannot afford the full
-/// warmup-plus-five-samples protocol on a 2^16 sort.
-fn sort_rate(n: usize, samples: usize) -> u64 {
-    let vals = pseudo(n, 2);
-    let mut rates: Vec<u64> = (0..samples.max(1))
-        .map(|_| {
-            let mut m = Machine::new();
-            let items = place_z(&mut m, 0, vals.clone());
-            let t = Instant::now();
-            let out = sort_z(&mut m, 0, items);
-            let ns = t.elapsed().as_nanos();
-            std::hint::black_box(out);
-            ((m.messages() as f64) / (ns as f64 / 1e9)) as u64
-        })
-        .collect();
-    rates.sort_unstable();
-    rates[rates.len() / 2]
-}
-
-/// Messages/sec of one [`sort_rate`] run whose report is charged under the
-/// wse-like cost profile at the end — the workload the profile gate
-/// compares against its bare twin.
-fn sort_rate_profiled(n: usize) -> u64 {
-    use spatial_core::model::WSE_LIKE;
+/// One bare sort_z run of `n` items: its raw counters and the wall time of
+/// the sort, placement excluded.
+fn sort_run(n: usize) -> (Cost, u128) {
     let mut m = Machine::new();
     let items = place_z(&mut m, 0, pseudo(n, 2));
     let t = Instant::now();
     let out = sort_z(&mut m, 0, items);
-    let profiled = WSE_LIKE.charge(m.report()).expect("built-in profiles cannot saturate");
     let ns = t.elapsed().as_nanos();
     std::hint::black_box(out);
-    std::hint::black_box(profiled);
-    ((m.messages() as f64) / (ns as f64 / 1e9)) as u64
-}
-
-/// Runs `base` and `test` (each returning a msgs/sec rate) as `pairs`
-/// back-to-back pairs, alternating which setting goes first, and returns
-/// the median per-pair ratio `test / base` with each side's median rate.
-/// A pair runs within seconds, so the host's speed drift between the two
-/// settings cancels in its ratio; five runs of one setting followed by five
-/// of the other would measure that drift instead.
-fn paired_ratio(
-    pairs: usize,
-    mut base: impl FnMut() -> u64,
-    mut test: impl FnMut() -> u64,
-) -> (f64, u64, u64) {
-    let (mut ratios, mut bases, mut tests) = (Vec::new(), Vec::new(), Vec::new());
-    for i in 0..pairs {
-        let (b, t) = if i % 2 == 0 {
-            let b = base();
-            (b, test())
-        } else {
-            let t = test();
-            (base(), t)
-        };
-        ratios.push(t as f64 / b as f64);
-        bases.push(b);
-        tests.push(t);
-    }
-    ratios.sort_by(f64::total_cmp);
-    bases.sort_unstable();
-    tests.sort_unstable();
-    let mid = ratios.len() / 2;
-    (ratios[mid], bases[mid], tests[mid])
+    (m.report(), ns)
 }
 
 fn rows(results: &[Throughput]) -> String {
@@ -208,34 +137,11 @@ fn rows(results: &[Throughput]) -> String {
     s
 }
 
-fn render(
-    results: &[Throughput],
-    serial: &[Throughput],
-    scaling: &[ScalePoint],
-    baseline: Option<&str>,
-) -> String {
+fn render(results: &[Throughput], baseline: Option<&str>) -> String {
     let mut s = String::from("{\n  \"format\": \"spatial-bench/v1\",\n  \"group\": \"simcore\",\n");
     s.push_str("  \"unit\": \"messages_per_second\",\n  \"benchmarks\": [\n");
     s.push_str(&rows(results));
     s.push_str("  ]");
-    if !serial.is_empty() {
-        s.push_str(",\n  \"serial\": [\n");
-        s.push_str(&rows(serial));
-        s.push_str("  ]");
-    }
-    if !scaling.is_empty() {
-        s.push_str(",\n  \"scaling\": [\n");
-        for (i, p) in scaling.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"id\": \"{}\", \"threads\": {}, \"msgs_per_sec\": {}}}{}\n",
-                p.id,
-                p.threads,
-                p.msgs_per_sec,
-                if i + 1 < scaling.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]");
-    }
     if let Some(b) = baseline {
         s.push_str(",\n  \"baseline\": ");
         s.push_str(b.trim_end());
@@ -331,66 +237,17 @@ fn main() {
         p
     };
     plan.retain(|(id, _)| want(id));
-    let run_plan = |plan: &[(String, bool)]| -> Vec<Throughput> {
-        plan.iter()
-            .map(|(id, huge)| {
-                let n: usize =
-                    id.split('/').nth(1).expect("id is kind/n").parse().expect("n parses");
-                if id.starts_with("scan/") {
-                    scan_bench(n)
-                } else {
-                    sort_bench(n, *huge)
-                }
-            })
-            .collect()
-    };
-    let results = run_plan(&plan);
-
-    // Full runs also record the serial (1-shard) numbers for every id but
-    // the 2^20 mergesort, so a `SPATIAL_SIM_THREADS=1` smoke run gates
-    // against like-for-like figures, plus the per-thread scaling curve of
-    // the sharded bare path on sort_z/65536.
-    let mut serial: Vec<Throughput> = Vec::new();
-    let mut scaling: Vec<ScalePoint> = Vec::new();
-    if !smoke {
-        let serial_plan: Vec<(String, bool)> =
-            plan.iter().filter(|(id, _)| id != "sort_z/1048576").cloned().collect();
-        if sim_threads() == 1 {
-            // Already serial: the main section is the serial section.
-            serial = results
-                .iter()
-                .filter(|r| r.id != "sort_z/1048576")
-                .map(|r| Throughput {
-                    id: r.id.clone(),
-                    messages: r.messages,
-                    median_ns: r.median_ns,
-                    msgs_per_sec: r.msgs_per_sec,
-                })
-                .collect();
-        } else {
-            println!("-- serial reference (1 shard) --");
-            set_sim_threads(1);
-            serial = run_plan(&serial_plan);
-            set_sim_threads(0);
-        }
-        let curve_id = "sort_z/65536";
-        if want(curve_id) {
-            println!("-- thread scaling ({curve_id}) --");
-            let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let mut counts = vec![1usize, 2, 4, avail];
-            counts.sort_unstable();
-            counts.dedup();
-            for threads in counts {
-                set_sim_threads(threads);
-                // Median of five fresh runs: single samples on a busy host
-                // drift enough to fake a scaling regression.
-                let msgs_per_sec = sort_rate(65536, 5);
-                println!("{curve_id:<16} threads={threads:<3} {msgs_per_sec:>12} msgs/s");
-                scaling.push(ScalePoint { id: curve_id.into(), threads, msgs_per_sec });
+    let results: Vec<Throughput> = plan
+        .iter()
+        .map(|(id, huge)| {
+            let n: usize = id.split('/').nth(1).expect("id is kind/n").parse().expect("n parses");
+            if id.starts_with("scan/") {
+                scan_bench(n)
+            } else {
+                sort_bench(n, *huge)
             }
-            set_sim_threads(0);
-        }
-    }
+        })
+        .collect();
 
     let baseline = std::env::var("SPATIAL_BENCH_BASELINE").ok().and_then(|p| {
         let doc = std::fs::read_to_string(&p).ok()?;
@@ -410,7 +267,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    let rendered = render(&results, &serial, &scaling, baseline.as_deref());
+    let rendered = render(&results, baseline.as_deref());
 
     if smoke {
         let dir = std::env::var("SPATIAL_BENCH_JSON")
@@ -419,9 +276,7 @@ fn main() {
         std::fs::create_dir_all(&dir).ok();
         std::fs::write(&path, &rendered).expect("write smoke results");
         println!("  -> {}", path.display());
-        // Gate: compare against the committed reference when present. A
-        // serial run (SPATIAL_SIM_THREADS=1) gates against the committed
-        // serial numbers, not the default-thread ones.
+        // Gate: compare against the committed reference when present.
         match std::fs::read_to_string("BENCH_simcore.json") {
             Err(_) => println!("no committed BENCH_simcore.json; skipping regression gate"),
             Ok(doc) => {
@@ -431,74 +286,47 @@ fn main() {
                     Some("spatial-bench/v1"),
                     "committed BENCH_simcore.json must be spatial-bench/v1"
                 );
-                let section = if sim_threads() == 1 && committed.get("serial").is_some() {
-                    "serial"
-                } else {
-                    "benchmarks"
-                };
-                let bad = regressions(&results, &committed, section, 25.0);
+                let bad = regressions(&results, &committed, "benchmarks", 25.0);
                 if !bad.is_empty() {
-                    eprintln!("messages/sec regression (>25%) vs \"{section}\":");
+                    eprintln!("messages/sec regression (>25%) vs \"benchmarks\":");
                     for b in &bad {
                         eprintln!("  {b}");
                     }
                     std::process::exit(1);
                 }
-                println!("regression gate passed (within 25% of committed \"{section}\")");
+                println!("regression gate passed (within 25% of committed \"benchmarks\")");
             }
         }
-        // Scaling gate: a thread setting above 1 must never cost throughput
-        // on mid-sized sorts. The shard engine only engages past its
-        // amortization threshold (2^17 items), so sort_z/65536 must run at
-        // serial speed at any thread count — this pins the regression where
-        // sharded 2^16 bitonic stages lost ~20% (955 -> 751 M msgs/s).
+        // Profile gate: a cost profile is pure accounting charged onto a
+        // finished report, so it adds exactly one `charge` call to a run.
+        // Check both halves of that: the charged run's raw counters equal
+        // the bare run's, and the charge costs nothing next to the run.
         if want("sort_z/65536") {
-            println!("-- scaling gate (sort_z/65536, threads 2 vs 1, 5 pairs) --");
-            let (ratio, serial, sharded) = paired_ratio(
-                5,
-                || {
-                    set_sim_threads(1);
-                    sort_rate(65536, 1)
-                },
-                || {
-                    set_sim_threads(2);
-                    sort_rate(65536, 1)
-                },
-            );
-            set_sim_threads(0);
-            println!(
-                "  serial {serial} msgs/s   threads=2 {sharded} msgs/s   median pair ratio {ratio:.3}"
-            );
-            if ratio < 0.95 {
+            println!("-- profile gate (sort_z/65536, wse-like vs bare) --");
+            let (bare, run_ns) = sort_run(65536);
+            let (profiled, _) = sort_run(65536);
+            std::hint::black_box(WSE_LIKE.charge(profiled).expect("built-ins cannot saturate"));
+            if profiled != bare {
                 eprintln!(
-                    "scaling regression: threads=2 ran sort_z/65536 at a median {ratio:.3}x \
-                     of serial per pair, under 0.95"
+                    "profile leak: the wse-like run counted {profiled:?}, the bare run {bare:?}"
                 );
                 std::process::exit(1);
             }
-            println!("scaling gate passed (threads=2 within 5% of serial)");
-        }
-        // Profile gate: a cost profile is pure accounting charged onto the
-        // finished report. The machine holds no profile, so none can reach
-        // the per-message path; the gate times the run plus its one charge
-        // against the bare run.
-        if want("sort_z/65536") {
-            println!("-- profile gate (sort_z/65536, wse-like vs bare, 5 pairs) --");
-            set_sim_threads(1);
-            let (ratio, bare, profiled) =
-                paired_ratio(5, || sort_rate(65536, 1), || sort_rate_profiled(65536));
-            set_sim_threads(0);
-            println!(
-                "  bare {bare} msgs/s   wse-like {profiled} msgs/s   median pair ratio {ratio:.3}"
-            );
-            if ratio < 0.95 {
+            const CHARGES: u32 = 1000;
+            let t = Instant::now();
+            for _ in 0..CHARGES {
+                std::hint::black_box(WSE_LIKE.charge(std::hint::black_box(bare)).ok());
+            }
+            let charge_ns = t.elapsed().as_nanos() / u128::from(CHARGES);
+            println!("  raw counters equal   charge {charge_ns} ns   bare run {run_ns} ns");
+            if charge_ns * 20 > run_ns {
                 eprintln!(
-                    "profile overhead: wse-like ran sort_z/65536 at a median {ratio:.3}x of \
-                     bare per pair, under 0.95 — profiles must stay off the hot path"
+                    "profile overhead: one wse-like charge took {charge_ns} ns, over 5% of the \
+                     {run_ns} ns bare sort_z/65536 run it prices"
                 );
                 std::process::exit(1);
             }
-            println!("profile gate passed (profiled within 5% of bare)");
+            println!("profile gate passed (equal counters, charge under 5% of the run)");
         }
     } else {
         std::fs::write("BENCH_simcore.json", &rendered).expect("write BENCH_simcore.json");

@@ -50,7 +50,7 @@ struct SumLevels<T> {
 /// # Panics
 /// Panics if `items.len()` is not a power of four, if `lo` is not aligned to
 /// the array length, or if items are not resident at their Z-positions.
-pub fn scan<T: Clone + Send + Sync>(
+pub fn scan<T: Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<T>>,
@@ -83,7 +83,7 @@ pub fn scan<T: Clone + Send + Sync>(
 
 /// Exclusive scan: result `i` is `identity ∘ A_0 ∘ … ∘ A_{i-1}`; result `0`
 /// is `identity`.
-pub fn scan_exclusive<T: Clone + Send + Sync>(
+pub fn scan_exclusive<T: Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<T>>,
@@ -113,7 +113,7 @@ pub fn scan_exclusive<T: Clone + Send + Sync>(
 /// carry is broadcast over its block and folded in. Costs: `O(n)` energy,
 /// `O(log n)` depth, `O(√n)` distance — the Lemma IV.3 bounds without the
 /// padding.
-pub fn scan_any<T: Clone + Send + Sync>(
+pub fn scan_any<T: Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<T>>,

@@ -42,7 +42,7 @@ pub fn segmented_op<T: Clone>(
 /// Segmented inclusive scan: equivalent to running [`scan`] independently on
 /// every maximal run delimited by `head` flags. Element 0 is treated as a
 /// segment head regardless of its flag.
-pub fn segmented_scan<T: Clone + Send + Sync>(
+pub fn segmented_scan<T: Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<SegItem<T>>>,
@@ -56,7 +56,7 @@ pub fn segmented_scan<T: Clone + Send + Sync>(
 /// A "copy-first" segmented broadcast: every element of a segment receives
 /// the segment head's value. Implemented as a segmented scan under the
 /// left-projection operator (associative).
-pub fn segmented_broadcast<T: Clone + Send + Sync>(
+pub fn segmented_broadcast<T: Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<SegItem<T>>>,

@@ -7,16 +7,12 @@ use spatial_model::{zorder, Machine, SubGrid, Tracked};
 /// This is the canonical array layout of the paper (§III): an array occupies
 /// a contiguous segment of the grid-wide Z-order curve, so any aligned
 /// power-of-four sub-segment is a square subgrid.
-pub fn place_z<T: Send>(machine: &mut Machine, lo: u64, values: Vec<T>) -> Vec<Tracked<T>> {
+pub fn place_z<T>(machine: &mut Machine, lo: u64, values: Vec<T>) -> Vec<Tracked<T>> {
     machine.place_batch(values, |i| zorder::coord_of(lo + i as u64))
 }
 
 /// Places `values[i]` at row-major index `i` of `grid`.
-pub fn place_row_major<T: Send>(
-    machine: &mut Machine,
-    grid: SubGrid,
-    values: Vec<T>,
-) -> Vec<Tracked<T>> {
+pub fn place_row_major<T>(machine: &mut Machine, grid: SubGrid, values: Vec<T>) -> Vec<Tracked<T>> {
     assert_eq!(values.len() as u64, grid.len());
     machine.place_batch(values, |i| grid.rm_coord(i as u64))
 }

@@ -23,7 +23,7 @@ use spatial_model::{zorder, Coord, Machine, Tracked};
 /// Z-index `lo + i`). The root may start anywhere; it is first moved to
 /// `coord_of(lo)`. Each aligned block is filled by the level kernel on a
 /// bare machine and by [`broadcast_blocks`] otherwise.
-pub fn broadcast_z<T: Clone + Send + Sync>(
+pub fn broadcast_z<T: Clone>(
     machine: &mut Machine,
     root: Tracked<T>,
     lo: u64,
@@ -59,7 +59,7 @@ pub fn broadcast_z<T: Clone + Send + Sync>(
 /// `(level, i)` across all blocks. Returns one value per cell of
 /// `[lo, lo + roots.len()·len)`, indexed by Z-offset. Charges exactly what
 /// the depth-first per-block recursion charges.
-pub fn broadcast_blocks<T: Clone + Send + Sync>(
+pub fn broadcast_blocks<T: Clone>(
     machine: &mut Machine,
     roots: Vec<Tracked<T>>,
     lo: u64,
@@ -97,7 +97,7 @@ pub fn broadcast_blocks<T: Clone + Send + Sync>(
 /// Reduces one value per cell of the Z-range `[lo, hi)` (indexed by
 /// Z-offset) onto the range's first cell. Each aligned block is reduced by
 /// the level kernel on a bare machine and by [`reduce_blocks`] otherwise.
-pub fn reduce_z<T: Clone + Send + Sync>(
+pub fn reduce_z<T: Clone>(
     machine: &mut Machine,
     items: Vec<Tracked<T>>,
     lo: u64,
@@ -144,7 +144,7 @@ pub fn reduce_z<T: Clone + Send + Sync>(
 /// group of every block. Siblings fold in ascending quadrant order, exactly
 /// as the depth-first per-block recursion does. Returns one partial per
 /// block, in block order.
-pub fn reduce_blocks<T: Clone + Send + Sync>(
+pub fn reduce_blocks<T: Clone>(
     machine: &mut Machine,
     mut vals: Vec<Tracked<T>>,
     lo: u64,

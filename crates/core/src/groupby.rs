@@ -41,9 +41,9 @@ pub fn group_by<K, V, A>(
     op: impl Fn(&A, &A) -> A,
 ) -> Vec<Group<K, A>>
 where
-    K: Ord + Clone + Send + Sync,
-    V: Clone + Send + Sync,
-    A: Clone + Send + Sync,
+    K: Ord + Clone,
+    V: Clone,
+    A: Clone,
 {
     let n = items.len();
     if n == 0 {
@@ -142,7 +142,7 @@ where
 }
 
 /// Counts occurrences of each key (a group-by with a counting aggregate).
-pub fn group_counts<K: Ord + Clone + Send + Sync>(
+pub fn group_counts<K: Ord + Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<K>>,

@@ -209,12 +209,6 @@ pub fn naive_collective_bound(metric: Metric) -> Shape {
     }
 }
 
-/// Lemma V.1 permutation lower bound on an `h × w` grid.
-pub fn permutation_lower_bound(h: u64, w: u64) -> u64 {
-    let (mx, mn) = (h.max(w), h.min(w));
-    mx * mx * mn / 9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,11 +284,5 @@ mod tests {
                 assert!(i as f64 <= f + 1e-6, "n = {n}: {i} > {f}");
             }
         }
-    }
-
-    #[test]
-    fn permutation_bound_is_square_symmetric() {
-        assert_eq!(permutation_lower_bound(8, 4), permutation_lower_bound(4, 8));
-        assert!(permutation_lower_bound(64, 64) > permutation_lower_bound(32, 32));
     }
 }

@@ -39,7 +39,7 @@ use sorting::mergesort::sort_z;
 /// let top: Vec<i64> = top_k(&mut m, 0, items, 3, 7).into_iter().map(|t| t.into_value()).collect();
 /// assert_eq!(top, vec![997, 998, 999]);
 /// ```
-pub fn top_k<T: Ord + Clone + Send + Sync>(
+pub fn top_k<T: Ord + Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<T>>,
@@ -102,7 +102,7 @@ pub fn top_k<T: Ord + Clone + Send + Sync>(
 
 /// Returns the `k` smallest elements, sorted ascending (mirror of
 /// [`top_k`] via reversed ordering).
-pub fn bottom_k<T: Ord + Clone + Send + Sync>(
+pub fn bottom_k<T: Ord + Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<T>>,

@@ -134,7 +134,7 @@ pub fn simulate_erew<P: PramProgram>(
 /// its destination; otherwise falls back to per-item [`Machine::send_owned`],
 /// which (unlike the batch API) charges a zero-distance message for a
 /// self-send — so the cost never depends on which path ran.
-fn send_all<T: Send>(machine: &mut Machine, sends: Vec<(Tracked<T>, Coord)>) -> Vec<Tracked<T>> {
+fn send_all<T>(machine: &mut Machine, sends: Vec<(Tracked<T>, Coord)>) -> Vec<Tracked<T>> {
     if sends.iter().any(|(t, dst)| t.loc() == *dst) {
         sends.into_iter().map(|(t, dst)| machine.send_owned(t, dst)).collect()
     } else {

@@ -69,7 +69,7 @@ impl Default for SelectionConfig {
 ///
 /// Returns the selected element (resident wherever the final gather placed
 /// it) together with run telemetry.
-pub fn select_rank<T: Ord + Clone + Send + Sync>(
+pub fn select_rank<T: Ord + Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<T>>,
@@ -80,7 +80,7 @@ pub fn select_rank<T: Ord + Clone + Send + Sync>(
 }
 
 /// [`select_rank`] with explicit tuning (used by the `c`-ablation bench).
-pub fn select_rank_cfg<T: Ord + Clone + Send + Sync>(
+pub fn select_rank_cfg<T: Ord + Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<T>>,
@@ -278,7 +278,7 @@ fn pivot_ranks(big_n: u64, k: u64, s_len: u64, ln_n: f64, c: f64) -> (u64, Optio
 /// Bitonic sort of a sample resident on the Z-segment `[lo, lo+len)` under
 /// the (possibly flipped) effective order. Pads to a power of two with
 /// effective `+∞` sentinels.
-fn bitonic_sort_z<T: Ord + Clone + Send + Sync>(
+fn bitonic_sort_z<T: Ord + Clone>(
     machine: &mut Machine,
     lo: u64,
     sample: Vec<Tracked<Keyed<T>>>,
@@ -338,7 +338,7 @@ fn bitonic_sort_z<T: Ord + Clone + Send + Sync>(
 /// Terminal phase (and pivot-failure fallback): gather the active elements
 /// into a compact segment, 2D-mergesort them, and pick the k-th under the
 /// effective order.
-fn finish_by_sorting<T: Ord + Clone + Send + Sync>(
+fn finish_by_sorting<T: Ord + Clone>(
     machine: &mut Machine,
     lo: u64,
     elems: Vec<Tracked<Keyed<T>>>,
@@ -389,7 +389,7 @@ fn finish_by_sorting<T: Ord + Clone + Send + Sync>(
 /// Each quantile runs one (independent) §VI selection over duplicated
 /// inputs, so the total energy is `O(|qs|·n)` — still polynomially below
 /// one full sort for constant `|qs|`.
-pub fn quantiles<T: Ord + Clone + Send + Sync>(
+pub fn quantiles<T: Ord + Clone>(
     machine: &mut Machine,
     lo: u64,
     items: &[Tracked<T>],
@@ -411,7 +411,7 @@ pub fn quantiles<T: Ord + Clone + Send + Sync>(
 }
 
 /// Convenience wrapper: selects the median (upper median for even `n`).
-pub fn select_median<T: Ord + Clone + Send + Sync>(
+pub fn select_median<T: Ord + Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<T>>,
@@ -434,7 +434,7 @@ pub fn select_median<T: Ord + Clone + Send + Sync>(
 /// assert_eq!(third_smallest, 2);
 /// assert_eq!(stats.fallbacks, 0);
 /// ```
-pub fn select_rank_values<T: Ord + Clone + Send + Sync>(
+pub fn select_rank_values<T: Ord + Clone>(
     machine: &mut Machine,
     lo: u64,
     values: Vec<T>,

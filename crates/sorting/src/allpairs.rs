@@ -37,7 +37,7 @@ pub fn scratch_for(near: u64, cells: u64) -> u64 {
 /// Panics if two elements compare equal (wrap inputs in
 /// [`crate::Keyed`] to guarantee distinctness) or if `scratch_lo` is
 /// misaligned.
-pub fn allpairs_rank<P: Ord + Clone + Send + Sync>(
+pub fn allpairs_rank<P: Ord + Clone>(
     machine: &mut Machine,
     items: Vec<Tracked<P>>,
     scratch_lo: u64,
@@ -152,7 +152,7 @@ pub fn allpairs_rank<P: Ord + Clone + Send + Sync>(
 
 /// All-Pairs Sort: ranks the elements and routes each to Z-index
 /// `out_lo + rank`. Returns the sorted array indexed by rank.
-pub fn allpairs_sort_to_z<P: Ord + Clone + Send + Sync>(
+pub fn allpairs_sort_to_z<P: Ord + Clone>(
     machine: &mut Machine,
     items: Vec<Tracked<P>>,
     scratch_lo: u64,
@@ -185,7 +185,7 @@ pub fn allpairs_sort_to_z<P: Ord + Clone + Send + Sync>(
 /// into up to three target blocks, one batch per `(level, quadrant)`.
 /// Charges exactly what the depth-first per-element recursion charges.
 /// Returns one array copy per hosting block, in block order.
-fn copy_to_blocks<P: Clone + Send + Sync>(
+fn copy_to_blocks<P: Clone>(
     machine: &mut Machine,
     holder: Vec<Tracked<P>>,
     bm: u64,

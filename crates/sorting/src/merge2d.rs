@@ -39,7 +39,7 @@ pub(crate) fn base_network(n: usize) -> &'static Network {
 /// Any combined length is supported (quarters are uneven by at most one
 /// element when it is not divisible by four). Elements must be pairwise
 /// distinct ([`crate::keyed::Keyed`] guarantees this).
-pub fn merge_adjacent<P: Ord + Clone + Send + Sync>(
+pub fn merge_adjacent<P: Ord + Clone>(
     machine: &mut Machine,
     a: Vec<Tracked<P>>,
     b: Vec<Tracked<P>>,
@@ -123,7 +123,7 @@ pub fn merge_adjacent<P: Ord + Clone + Send + Sync>(
 }
 
 /// Constant-size base case: odd-even transposition over the segment cells.
-fn base_merge<P: Ord + Clone + Send + Sync>(
+fn base_merge<P: Ord + Clone>(
     machine: &mut Machine,
     a: Vec<Tracked<P>>,
     b: Vec<Tracked<P>>,

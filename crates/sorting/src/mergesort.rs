@@ -33,7 +33,7 @@ use crate::merge2d::{base_network, merge_adjacent, BASE};
 /// Arbitrary lengths are supported: inputs are padded internally with
 /// `+∞` sentinels up to the next power of four (paper §III assumes powers of
 /// four w.l.o.g.).
-pub fn sort_z<T: Ord + Clone + Send + Sync>(
+pub fn sort_z<T: Ord + Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<T>>,
@@ -69,7 +69,7 @@ pub fn sort_z<T: Ord + Clone + Send + Sync>(
 
 /// Like [`sort_z`] but returns the sorted plain values (reads the array out
 /// of the machine).
-pub fn sort_z_values<T: Ord + Clone + Send + Sync>(
+pub fn sort_z_values<T: Ord + Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<T>>,
@@ -80,7 +80,7 @@ pub fn sort_z_values<T: Ord + Clone + Send + Sync>(
 /// Sorts an array stored **row-major** on a square subgrid, returning it
 /// sorted in row-major order (the paper's input/output convention): convert
 /// to Z-order, run [`sort_z`], permute back (Fig. 3(d)).
-pub fn sort_row_major<T: Ord + Clone + Send + Sync>(
+pub fn sort_row_major<T: Ord + Clone>(
     machine: &mut Machine,
     grid: SubGrid,
     items: Vec<Tracked<T>>,
@@ -109,7 +109,7 @@ enum Pad<T> {
     Inf(u64),
 }
 
-fn sort_pow4<T: Ord + Clone + Send + Sync>(
+fn sort_pow4<T: Ord + Clone>(
     machine: &mut Machine,
     lo: u64,
     items: Vec<Tracked<Pad<T>>>,

@@ -44,9 +44,14 @@ pub fn transpose_perm(side: u64) -> Vec<u64> {
 
 /// Lower bound of Lemma V.1 for an `h × w` grid (up to the lemma's constant):
 /// `max(w,h)² · min(w,h) / 9`.
-pub fn permutation_energy_lower_bound(h: u64, w: u64) -> u64 {
-    let (mx, mn) = (h.max(w), h.min(w));
-    mx * mx * mn / 9
+///
+/// Computed in `u128`, where the product is exact for every grid of fewer
+/// than 2^128 cells (in `u64` it overflows for square sides above about
+/// 2^21.3). Beyond that the product saturates, which keeps the result a
+/// lower bound.
+pub fn permutation_energy_lower_bound(h: u64, w: u64) -> u128 {
+    let (mx, mn) = (u128::from(h.max(w)), u128::from(h.min(w)));
+    (mx * mx).saturating_mul(mn) / 9
 }
 
 #[cfg(test)]
@@ -62,7 +67,11 @@ mod tests {
             let mut m = Machine::new();
             let cost = permute_row_major(&mut m, grid, &reversal_perm(n));
             let lb = permutation_energy_lower_bound(side, side);
-            assert!(cost.energy >= lb, "side {side}: energy {} < bound {lb}", cost.energy);
+            assert!(
+                u128::from(cost.energy) >= lb,
+                "side {side}: energy {} < bound {lb}",
+                cost.energy
+            );
             // And it is Θ(n^{3/2}): also check an upper constant.
             assert!(cost.energy <= 2 * n * side, "side {side}: energy {} too large", cost.energy);
         }
@@ -74,7 +83,21 @@ mod tests {
         let mut m = Machine::new();
         let cost = permute_row_major(&mut m, grid, &reversal_perm(grid.len()));
         let lb = permutation_energy_lower_bound(64, 4);
-        assert!(cost.energy >= lb, "energy {} < bound {lb}", cost.energy);
+        assert!(u128::from(cost.energy) >= lb, "energy {} < bound {lb}", cost.energy);
+    }
+
+    #[test]
+    fn lower_bound_is_symmetric_and_grows_with_the_square() {
+        assert_eq!(permutation_energy_lower_bound(8, 4), permutation_energy_lower_bound(4, 8));
+        assert!(permutation_energy_lower_bound(64, 64) > permutation_energy_lower_bound(32, 32));
+    }
+
+    #[test]
+    fn lower_bound_does_not_overflow_past_side_two_to_the_twenty_one() {
+        let side = 1u64 << 22;
+        assert_eq!(permutation_energy_lower_bound(side, side), (1u128 << 66) / 9);
+        // The largest grid saturates the product instead of panicking.
+        assert_eq!(permutation_energy_lower_bound(u64::MAX, u64::MAX), u128::MAX / 9);
     }
 
     #[test]

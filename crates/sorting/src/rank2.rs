@@ -61,7 +61,7 @@ pub struct Split {
 ///
 /// The number of ranks `K` is fixed at compile time, so the pivot bundle
 /// and every per-element indicator are plain arrays.
-pub fn multi_rank_split<P: Ord + Clone + Send + Sync, const K: usize>(
+pub fn multi_rank_split<P: Ord + Clone, const K: usize>(
     machine: &mut Machine,
     a: &[Tracked<P>],
     a_lo: u64,
@@ -145,7 +145,7 @@ pub fn multi_rank_split<P: Ord + Clone + Send + Sync, const K: usize>(
 /// Steps 5+6 of Lemma V.6: all-pairs-rank the two narrowed windows and count
 /// how many of the `k - ea - eb` smallest come from `A`.
 #[allow(clippy::too_many_arguments)]
-fn window_phase<P: Ord + Clone + Send + Sync>(
+fn window_phase<P: Ord + Clone>(
     machine: &mut Machine,
     a: &[Tracked<P>],
     a_lo: u64,
@@ -197,7 +197,7 @@ fn window_phase<P: Ord + Clone + Send + Sync>(
 /// Counts, for every present pivot, the `≤`-predecessors in both arrays with
 /// a **single** bundled broadcast and reduce (the pivots travel together as
 /// one constant-size message payload). Absent pivots count `(0, 0)`.
-fn count_leq_multi<P: Ord + Clone + Send + Sync, const K: usize>(
+fn count_leq_multi<P: Ord + Clone, const K: usize>(
     machine: &mut Machine,
     a: &[Tracked<P>],
     a_lo: u64,

@@ -18,7 +18,7 @@ use sortnet::run_on_coords;
 
 /// One odd-even transposition step applied to every row simultaneously
 /// (`dir[r]` = false for ascending rows, true for descending).
-fn row_step<T: Ord + Clone + Send + Sync>(
+fn row_step<T: Ord + Clone>(
     machine: &mut Machine,
     grid: SubGrid,
     items: Vec<Tracked<T>>,
@@ -47,7 +47,7 @@ fn row_step<T: Ord + Clone + Send + Sync>(
 
 /// One odd-even transposition step applied to every column simultaneously
 /// (always top-to-bottom ascending).
-fn col_step<T: Ord + Clone + Send + Sync>(
+fn col_step<T: Ord + Clone>(
     machine: &mut Machine,
     grid: SubGrid,
     items: Vec<Tracked<T>>,
@@ -71,7 +71,7 @@ fn col_step<T: Ord + Clone + Send + Sync>(
 /// even rows ascend left→right, odd rows descend, and rows are globally
 /// ordered. Pure mesh algorithm: every message crosses exactly one grid
 /// edge.
-pub fn shearsort_snake<T: Ord + Clone + Send + Sync>(
+pub fn shearsort_snake<T: Ord + Clone>(
     machine: &mut Machine,
     grid: SubGrid,
     items: Vec<Tracked<T>>,
@@ -104,7 +104,7 @@ pub fn shearsort_snake<T: Ord + Clone + Send + Sync>(
 
 /// Sorts into **row-major** order: shearsort + reversal of the odd rows
 /// (a one-message-per-element permutation inside each row).
-pub fn shearsort_row_major<T: Ord + Clone + Send + Sync>(
+pub fn shearsort_row_major<T: Ord + Clone>(
     machine: &mut Machine,
     grid: SubGrid,
     items: Vec<Tracked<T>>,

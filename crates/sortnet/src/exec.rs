@@ -14,7 +14,7 @@ use crate::network::Network;
 ///
 /// Returns the wire values after the last stage, in wire order (each value
 /// still resident on its wire's PE).
-pub fn run_on_coords<T: Clone + Ord + Send + Sync>(
+pub fn run_on_coords<T: Clone + Ord>(
     machine: &mut Machine,
     net: &Network,
     items: Vec<Tracked<T>>,
@@ -51,7 +51,7 @@ pub fn run_on_coords<T: Clone + Ord + Send + Sync>(
 
 /// Runs `net` with wires mapped row-major onto `grid` (the Fig. 2 layout).
 /// `items[i]` must already reside at row-major position `i`.
-pub fn run_row_major<T: Clone + Ord + Send + Sync>(
+pub fn run_row_major<T: Clone + Ord>(
     machine: &mut Machine,
     net: &Network,
     grid: SubGrid,

@@ -24,8 +24,9 @@
 //!   that all cross one displacement, and each group's energy is its count
 //!   times that length. The true sums are charged through the saturating
 //!   `add_energy_total`; saturating addition of non-negative terms is
-//!   grouping-independent (see the saturation note in [`crate::batch`]), so
-//!   the final counter is bit-identical to the per-item loop's.
+//!   grouping-independent (see the saturation note on
+//!   `Machine::add_energy_total`), so the final counter is bit-identical to
+//!   the per-item loop's.
 //! * **Paths.** `Path::step` adds constants and `Path::join` is an
 //!   element-wise max, so the fold over the reduce tree equals a per-leaf
 //!   maximum of `leaf path + route constants`, which separates into terms
@@ -68,7 +69,6 @@
 //!   a gathered child's step path is dominated by the running prefix it
 //!   joins, which the scatter then delivers one step further).
 
-use crate::batch::ShardAcc;
 use crate::machine::Machine;
 use crate::path::Path;
 use crate::value::Tracked;
@@ -179,7 +179,7 @@ fn fold4<T>(
     kids: [(&T, Path); 4],
     hops: [Option<u64>; 4],
     op: &impl Fn(&T, &T) -> T,
-    acc: &mut ShardAcc,
+    seen: &mut Path,
 ) -> (T, Path) {
     let [(a, pa), (b, pb), (c, pc), (d, pd)] = kids;
     let (mut sent, mut stayed) = (Path::ZERO, Path::ZERO);
@@ -189,7 +189,7 @@ fn fold4<T>(
             None => stayed = stayed.join(p),
         }
     }
-    acc.observe(sent);
+    *seen = seen.join(sent);
     (op(&op(&op(a, b), c), d), sent.join(stayed))
 }
 
@@ -209,13 +209,13 @@ fn scan_walk<T: Clone>(
     carry: Option<(&T, Path)>,
     identity: Option<&T>,
     op: &impl Fn(&T, &T) -> T,
-    acc: &mut ShardAcc,
+    seen: &mut Path,
 ) -> (T, Path) {
     match levels {
         [level] => {
-            scan_four(leaves.try_into().expect("four leaves"), level, carry, identity, op, acc)
+            scan_four(leaves.try_into().expect("four leaves"), level, carry, identity, op, seen)
         }
-        _ => scan_node(leaves, levels, carry, identity, op, acc),
+        _ => scan_node(leaves, levels, carry, identity, op, seen),
     }
 }
 
@@ -228,32 +228,32 @@ fn scan_node<T: Clone>(
     carry: Option<(&T, Path)>,
     identity: Option<&T>,
     op: &impl Fn(&T, &T) -> T,
-    acc: &mut ShardAcc,
+    seen: &mut Path,
 ) -> (T, Path) {
     let (hops, below) = levels.split_last().expect("a block of height at least 2");
     let q = leaves.len() / 4;
     let (c0, rest) = leaves.split_at_mut(q);
     let (c1, rest) = rest.split_at_mut(q);
     let (c2, c3) = rest.split_at_mut(q);
-    let (s0, p0) = scan_walk(c0, below, carry, identity, op, acc);
+    let (s0, p0) = scan_walk(c0, below, carry, identity, op, seen);
     let run = match carry {
         Some((v, vp)) => (op(v, &s0), vp.join(p0.step(hops.gather[0]))),
         None => (s0.clone(), p0.step(hops.gather[0])),
     };
     let (s1, p1) =
-        scan_walk(c1, below, Some(deliver(&run, hops.scatter[0], acc)), identity, op, acc);
+        scan_walk(c1, below, Some(deliver(&run, hops.scatter[0], seen)), identity, op, seen);
     let run = (op(&run.0, &s1), run.1.join(p1.step(hops.gather[1])));
     let (s2, p2) =
-        scan_walk(c2, below, Some(deliver(&run, hops.scatter[1], acc)), identity, op, acc);
+        scan_walk(c2, below, Some(deliver(&run, hops.scatter[1], seen)), identity, op, seen);
     let run = (op(&run.0, &s2), run.1.join(p2.step(hops.gather[2])));
     let (s3, p3) =
-        scan_walk(c3, below, Some(deliver(&run, hops.scatter[2], acc)), identity, op, acc);
-    fold4([(&s0, p0), (&s1, p1), (&s2, p2), (&s3, p3)], hops.up.map(Some), op, acc)
+        scan_walk(c3, below, Some(deliver(&run, hops.scatter[2], seen)), identity, op, seen);
+    fold4([(&s0, p0), (&s1, p1), (&s2, p2), (&s3, p3)], hops.up.map(Some), op, seen)
 }
 
 /// The running prefix `run` delivered `d` hops away, observed on arrival.
-fn deliver<'a, T>(run: &'a (T, Path), d: u64, acc: &mut ShardAcc) -> (&'a T, Path) {
-    acc.observe(run.1.step(d));
+fn deliver<'a, T>(run: &'a (T, Path), d: u64, seen: &mut Path) -> (&'a T, Path) {
+    *seen = seen.join(run.1.step(d));
     (&run.0, run.1.step(d))
 }
 
@@ -267,11 +267,11 @@ fn scan_four<T: Clone>(
     carry: Option<(&T, Path)>,
     identity: Option<&T>,
     op: &impl Fn(&T, &T) -> T,
-    acc: &mut ShardAcc,
+    seen: &mut Path,
 ) -> (T, Path) {
     let p = [a[0].path(), a[1].path(), a[2].path(), a[3].path()];
     let sum =
-        fold4([part(&a[0]), part(&a[1]), part(&a[2]), part(&a[3])], hops.up.map(Some), op, acc);
+        fold4([part(&a[0]), part(&a[1]), part(&a[2]), part(&a[3])], hops.up.map(Some), op, seen);
     let (gather, scatter) = (hops.gather, hops.scatter);
     let r1 = match carry {
         Some((_, cp)) => cp.join(p[0].step(gather[0])),
@@ -281,7 +281,7 @@ fn scan_four<T: Clone>(
     let r3 = r2.join(p[2].step(gather[2]));
     let delivered = [r1.step(scatter[0]), r2.step(scatter[1]), r3.step(scatter[2])];
     for d in delivered {
-        acc.observe(d);
+        *seen = seen.join(d);
     }
     match identity {
         None => {
@@ -321,17 +321,17 @@ fn reduce_node<T>(
     items: &[Tracked<T>],
     l: u64,
     op: &impl Fn(&T, &T) -> T,
-    acc: &mut ShardAcc,
+    seen: &mut Path,
 ) -> (T, Path) {
     if let [a, b, c, d] = items {
-        return fold4([part(a), part(b), part(c), part(d)], corner_hops(1), op, acc);
+        return fold4([part(a), part(b), part(c), part(d)], corner_hops(1), op, seen);
     }
     let q = items.len() / 4;
-    let (s0, p0) = reduce_node(&items[..q], l - 1, op, acc);
-    let (s1, p1) = reduce_node(&items[q..2 * q], l - 1, op, acc);
-    let (s2, p2) = reduce_node(&items[2 * q..3 * q], l - 1, op, acc);
-    let (s3, p3) = reduce_node(&items[3 * q..], l - 1, op, acc);
-    fold4([(&s0, p0), (&s1, p1), (&s2, p2), (&s3, p3)], corner_hops(l), op, acc)
+    let (s0, p0) = reduce_node(&items[..q], l - 1, op, seen);
+    let (s1, p1) = reduce_node(&items[q..2 * q], l - 1, op, seen);
+    let (s2, p2) = reduce_node(&items[2 * q..3 * q], l - 1, op, seen);
+    let (s3, p3) = reduce_node(&items[3 * q..], l - 1, op, seen);
+    fold4([(&s0, p0), (&s1, p1), (&s2, p2), (&s3, p3)], corner_hops(l), op, seen)
 }
 
 impl Machine {
@@ -393,9 +393,9 @@ impl Machine {
             self.charge_level(leaves.len() as u64 >> (2 * l), level.sends());
             levels[l as usize - 1] = level;
         }
-        let mut acc = ShardAcc::default();
-        scan_walk(leaves, &levels[..h as usize], None, identity, &op, &mut acc);
-        self.absorb_watermarks(acc);
+        let mut seen = Path::ZERO;
+        scan_walk(leaves, &levels[..h as usize], None, identity, &op, &mut seen);
+        self.absorb_watermarks(seen);
     }
 
     /// Broadcasts `root` over the aligned power-of-four block of `len`
@@ -451,9 +451,7 @@ impl Machine {
         // Every digit of the last cell is 3, the longest edge of its level,
         // so its path dominates every delivered path.
         if h > 0 {
-            let mut acc = ShardAcc::default();
-            acc.observe(out[out.len() - 1].path());
-            self.absorb_watermarks(acc);
+            self.absorb_watermarks(out[out.len() - 1].path());
         }
     }
 
@@ -489,9 +487,9 @@ impl Machine {
         for l in 1..=h {
             self.charge_level(items.len() as u64 >> (2 * l), corner_hops(l).into_iter().flatten());
         }
-        let mut acc = ShardAcc::default();
-        let (value, path) = reduce_node(&items, h, &op, &mut acc);
-        self.absorb_watermarks(acc);
+        let mut seen = Path::ZERO;
+        let (value, path) = reduce_node(&items, h, &op, &mut seen);
+        self.absorb_watermarks(seen);
         Tracked::raw(value, zorder::coord_of(start), path)
     }
 
@@ -557,7 +555,7 @@ impl Machine {
 
         // Final reduced path at each corner, exact per the separation
         // argument in the module docs; watermark = max over those paths.
-        let mut acc = ShardAcc::default();
+        let mut seen = Path::ZERO;
         let out: Vec<Tracked<(T, u64)>> = corners
             .into_iter()
             .zip(ranks)
@@ -569,13 +567,13 @@ impl Machine {
                     depth: (nz_i + mp_depth).max(c.depth + 2 * lvls),
                     distance: (route_i * scale + mp_dist).max(c.distance + 2 * max_route),
                 };
-                acc.observe(r);
+                seen = seen.join(r);
                 let (value, loc, _) = corner.into_parts();
                 debug_assert_eq!(loc, zorder::coord_of(scratch_lo + i as u64 * bm));
                 Tracked::raw((value, rank), loc, c.join(r))
             })
             .collect();
-        self.absorb_watermarks(acc);
+        self.absorb_watermarks(seen);
         out
     }
 }

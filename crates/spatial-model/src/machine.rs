@@ -7,7 +7,6 @@
 
 use spatial_rng::Rng;
 
-use crate::batch::{self, ShardAcc};
 use crate::cancel::CancelToken;
 use crate::coord::Coord;
 use crate::cost::Cost;
@@ -246,20 +245,22 @@ impl Machine {
 
     /// Places `values[i]` at `loc_of(i)` — [`Machine::place`] over a whole
     /// input array. Placement is free either way; on an uninstrumented
-    /// machine this skips the per-item guard/fault/meter checks entirely
-    /// (sharding the construction across workers for large inputs — see
-    /// [`crate::sim_threads`]), while any active instrumentation sees the
-    /// identical per-item placement stream.
-    pub fn place_batch<T: Send>(
+    /// machine this skips the per-item guard/fault/meter checks entirely,
+    /// while any active instrumentation sees the identical per-item
+    /// placement stream.
+    pub fn place_batch<T>(
         &mut self,
         values: Vec<T>,
-        loc_of: impl Fn(usize) -> Coord + Sync,
+        loc_of: impl Fn(usize) -> Coord,
     ) -> Vec<Tracked<T>> {
         if !self.is_bare() {
             return values.into_iter().enumerate().map(|(i, v)| self.place(loc_of(i), v)).collect();
         }
-        let (out, _) = batch::shard_map(values, |v, i, _| Tracked::raw(v, loc_of(i), Path::ZERO));
-        out
+        values
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| Tracked::raw(v, loc_of(i), Path::ZERO))
+            .collect()
     }
 
     /// Sends a *copy* of `t` to `dst`, charging one message. The source copy
@@ -309,8 +310,15 @@ impl Machine {
     }
 
     /// Adds a closed-form energy total, clamping exactly where the serial
-    /// per-item saturating fold would (see the saturation note in
-    /// [`crate::batch`]).
+    /// per-item saturating fold would.
+    ///
+    /// *Saturation note.* A serial left fold of `saturating_add` over
+    /// non-negative terms equals `min(true_sum, u64::MAX)`: partial sums are
+    /// monotone, so the fold clamps exactly when the true sum exceeds
+    /// `u64::MAX` and is exact otherwise. A bare batch's local sum added
+    /// with `saturating_add` computes the same function, as do these `u128`
+    /// totals of the level kernels, so all three agree bit for bit even at
+    /// the clamp.
     #[inline]
     pub(crate) fn add_energy_total(&mut self, total: u128) {
         self.energy = (u128::from(self.energy) + total).min(u128::from(u64::MAX)) as u64;
@@ -323,44 +331,47 @@ impl Machine {
         self.messages += n;
     }
 
-    /// Merges a shard partial's watermarks only (energy/messages were
-    /// charged in closed form).
+    /// Raises the watermarks to a path's depth and distance (energy and
+    /// messages were charged separately).
     #[inline]
-    pub(crate) fn absorb_watermarks(&mut self, acc: ShardAcc) {
-        self.depth_watermark = self.depth_watermark.max(acc.depth);
-        self.distance_watermark = self.distance_watermark.max(acc.distance);
+    pub(crate) fn absorb_watermarks(&mut self, seen: Path) {
+        self.depth_watermark = self.depth_watermark.max(seen.depth);
+        self.distance_watermark = self.distance_watermark.max(seen.distance);
     }
 
-    /// Merges a full shard partial into the machine's counters.
+    /// Adds a bare batch's local charges to the machine's counters.
     #[inline]
-    fn absorb_shard(&mut self, acc: ShardAcc) {
+    fn absorb(&mut self, acc: BatchCharges) {
         self.energy = self.energy.saturating_add(acc.energy);
         self.messages += acc.messages;
-        self.absorb_watermarks(acc);
+        self.absorb_watermarks(acc.seen);
     }
 
     /// Moves a batch of values, each to its own destination, charging the
     /// same costs as [`Machine::move_to`] on every pair (self-messages are
     /// skipped, all others charge one message).
     ///
-    /// On an uninstrumented machine the batch runs as one per-item loop,
-    /// sharded across workers for large batches ([`crate::sim_threads`]),
-    /// with shard partials merged in fixed order so costs are bit-identical
-    /// at any thread count. With any instrumentation active (meter, trace,
-    /// faults, guard) each pair goes through the ordinary
-    /// `move_to` path, so batching never changes what instruments observe.
-    pub fn send_batch<T: Send>(&mut self, items: Vec<(Tracked<T>, Coord)>) -> Vec<Tracked<T>> {
+    /// On an uninstrumented machine the batch runs as one per-item loop
+    /// into a local accumulator, added to the counters once. With any
+    /// instrumentation active (meter, trace, faults, guard) each pair goes
+    /// through the ordinary `move_to` path, so batching never changes what
+    /// instruments observe.
+    pub fn send_batch<T>(&mut self, items: Vec<(Tracked<T>, Coord)>) -> Vec<Tracked<T>> {
         if !self.is_bare() {
             return items.into_iter().map(|(t, dst)| self.move_to(t, dst)).collect();
         }
-        let (out, acc) = batch::shard_map(items, |(t, dst), _, acc| {
-            if t.loc() == dst {
-                return t;
-            }
-            let (value, src, path) = t.into_parts();
-            deliver(value, src, path, dst, acc)
-        });
-        self.absorb_shard(acc);
+        let mut acc = BatchCharges::default();
+        let out = items
+            .into_iter()
+            .map(|(t, dst)| {
+                if t.loc() == dst {
+                    return t;
+                }
+                let (value, src, path) = t.into_parts();
+                deliver(value, src, path, dst, &mut acc)
+            })
+            .collect();
+        self.absorb(acc);
         out
     }
 
@@ -370,17 +381,16 @@ impl Machine {
     /// zero-length message, exactly as `send` does).
     ///
     /// Fast path and instrumentation behavior as in [`Machine::send_batch`].
-    pub fn send_batch_copy<T: Clone + Send + Sync>(
-        &mut self,
-        items: &[(&Tracked<T>, Coord)],
-    ) -> Vec<Tracked<T>> {
+    pub fn send_batch_copy<T: Clone>(&mut self, items: &[(&Tracked<T>, Coord)]) -> Vec<Tracked<T>> {
         if !self.is_bare() {
             return items.iter().map(|&(t, dst)| self.send(t, dst)).collect();
         }
-        let (out, acc) = batch::shard_map_ref(items, |&(t, dst), _, acc| {
-            deliver(t.value().clone(), t.loc(), t.path(), dst, acc)
-        });
-        self.absorb_shard(acc);
+        let mut acc = BatchCharges::default();
+        let out = items
+            .iter()
+            .map(|&(t, dst)| deliver(t.value().clone(), t.loc(), t.path(), dst, &mut acc))
+            .collect();
+        self.absorb(acc);
         out
     }
 
@@ -609,15 +619,26 @@ impl Machine {
     }
 }
 
-/// One delivery of a bare batch: charges `src.manhattan(dst)` through the
-/// shard accumulator, steps and observes the value's path, and lands the
+/// What a bare batch charges, summed locally and added to the machine's
+/// counters once: energy (saturating), messages, and the join of the
+/// delivered paths for the watermarks.
+#[derive(Default)]
+struct BatchCharges {
+    energy: u64,
+    messages: u64,
+    seen: Path,
+}
+
+/// One delivery of a bare batch: charges `src.manhattan(dst)` to the
+/// batch's accumulator, steps and observes the value's path, and lands the
 /// value at `dst` — what [`Machine::send`] charges for one message.
 #[inline]
-fn deliver<T>(value: T, src: Coord, path: Path, dst: Coord, acc: &mut ShardAcc) -> Tracked<T> {
+fn deliver<T>(value: T, src: Coord, path: Path, dst: Coord, acc: &mut BatchCharges) -> Tracked<T> {
     let d = src.manhattan(dst);
-    acc.charge(d);
+    acc.energy = acc.energy.saturating_add(d);
+    acc.messages += 1;
     let p = path.step(d);
-    acc.observe(p);
+    acc.seen = acc.seen.join(p);
     Tracked::raw(value, dst, p)
 }
 

@@ -16,13 +16,12 @@
 //!    a finished [`Cost`] by [`CostProfile::charge`] — callers write
 //!    `p.charge(m.report())`. A profile never reaches a [`crate::Machine`],
 //!    so it cannot affect [`crate::Machine::is_bare`], the closed-form level
-//!    kernels or the shard engine's fixed-order merge. The hot path never
-//!    sees a weight.
+//!    kernels or the per-item batch loop. The hot path never sees a weight.
 //! 2. **Energy components are linear in the summed counters.** The pJ
 //!    components are integer-weighted sums of `energy` and `messages`, so
 //!    a level kernel's closed-form charge equals the sum of per-item charges,
-//!    and the bare, instrumented and sharded execution paths — which already
-//!    agree on the raw counters bit-for-bit — agree on every profiled total
+//!    and the bare and instrumented execution paths — which already agree
+//!    on the raw counters bit-for-bit — agree on every profiled total
 //!    automatically. (The *delay* side is built from the `depth`/`distance`
 //!    watermarks, which are maxima, not sums.)
 //!

@@ -29,8 +29,6 @@ pub trait Scalar:
     + Default
     + PartialEq
     + std::fmt::Debug
-    + Send
-    + Sync
     + std::ops::Add<Output = Self>
     + std::ops::Mul<Output = Self>
 {

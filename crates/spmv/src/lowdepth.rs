@@ -116,7 +116,7 @@ pub fn spmv_multi<V: Scalar>(
 /// [`spmv_multi`]), `mul` scales a payload by a matrix value and `add` sums
 /// two payloads. Returns one payload per row (`zero` for an empty row) and
 /// the cost.
-fn pipeline<V: Scalar, P: Clone + Send + Sync>(
+fn pipeline<V: Scalar, P: Clone>(
     machine: &mut Machine,
     a: &Coo<V>,
     x: Vec<P>,
@@ -274,7 +274,7 @@ fn pipeline<V: Scalar, P: Clone + Send + Sync>(
 /// Leader election by neighbour comparison (paper step 2): every processor
 /// `i > 0` receives a copy of its predecessor's value in one batch and
 /// leads iff the keys differ (processor 0 always leads).
-fn elect_leaders_by<T: Clone + Send + Sync>(
+fn elect_leaders_by<T: Clone>(
     machine: &mut Machine,
     sorted: &[Tracked<T>],
     key: impl Fn(&T) -> u32,

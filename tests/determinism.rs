@@ -11,10 +11,6 @@ use spatial_dataflow::topk::top_k;
 
 const TRACE_CAP: usize = 1 << 20;
 
-/// Serialises the tests that override the process-global shard count, so
-/// one test's override can't overlap another's baseline run.
-static SIM_THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Runs `f` on a traced machine; returns its value, the cost snapshot and
 /// the full message record.
 fn traced<T>(f: impl Fn(&mut Machine) -> T) -> (T, Cost, Vec<MsgRecord>, u64) {
@@ -216,46 +212,6 @@ fn recovery_retry_counts_are_deterministic() {
 }
 
 #[test]
-fn sharded_bare_path_is_thread_count_invariant() {
-    // The sharded bare path must produce bit-identical Cost tuples at every
-    // worker count: shards accumulate privately and merge in fixed order, so
-    // SPATIAL_SIM_THREADS is pure throughput, never observable. Exercise a
-    // scan over 4^9 cells, which runs as a level kernel and whose 2^18-item
-    // `place_z` placement crosses the sharding threshold, and a large
-    // Irregular batch (pseudo-random destinations) past the same threshold
-    // (2^17 items — mid-sized batches stay serial by design).
-    use spatial_dataflow::model::{set_sim_threads, zorder};
-    let _guard = SIM_THREADS_LOCK.lock().unwrap();
-    let v = vals(262144, 11);
-    let run = || {
-        let mut m = Machine::new();
-        let items = place_z(&mut m, 0, v.clone());
-        let out = read_values(scan(&mut m, 0, items, &|a, b| a + b));
-        let scan_cost = m.report();
-        let mut mi = Machine::new();
-        let placed =
-            mi.place_batch((0..200000u64).collect::<Vec<_>>(), |i| zorder::coord_of(i as u64));
-        let sends: Vec<_> = placed
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| (t, zorder::coord_of((i as u64).wrapping_mul(7919) % 300000)))
-            .collect();
-        let _ = mi.send_batch(sends);
-        (out, scan_cost, mi.report())
-    };
-    set_sim_threads(1);
-    let serial = run();
-    for threads in [2usize, 7] {
-        set_sim_threads(threads);
-        let sharded = run();
-        assert_eq!(serial.1, sharded.1, "scan Cost differs at {threads} shards");
-        assert_eq!(serial.2, sharded.2, "irregular-batch Cost differs at {threads} shards");
-        assert_eq!(serial.0, sharded.0, "scan values differ at {threads} shards");
-    }
-    set_sim_threads(0);
-}
-
-#[test]
 fn serve_warm_cache_hit_replays_the_cold_line_bit_for_bit() {
     // Submitting the same job twice to one daemon instance must produce two
     // canonical lines that agree on everything but the sequence number: the
@@ -316,95 +272,81 @@ fn profiles_under_test() -> Vec<CostProfile> {
 }
 
 #[test]
-fn profiled_totals_are_invariant_under_sim_thread_count() {
-    // A profile charges the final raw counters, and those counters are
-    // already thread-count invariant — so the derived pJ/EDP totals must be
-    // bit-identical at every worker count too. This test pins the full
-    // chain (sharded run -> raw Cost -> ProfiledCost) rather than assuming
-    // the composition.
-    use spatial_dataflow::model::set_sim_threads;
-    let _guard = SIM_THREADS_LOCK.lock().unwrap();
-    let v = vals(262144, 23);
-    let run = |threads: usize| {
-        set_sim_threads(threads);
+fn large_bare_runs_match_their_traced_replay() {
+    // The bare path must charge exactly what the instrumented replay
+    // charges at the largest sizes the suite runs: a scan over 4^9 cells,
+    // which runs as a level kernel when bare and as the per-node code when
+    // traced, and an irregular `send_batch` of 200,000 pseudo-random
+    // destinations. A profile charges the final raw counters, so every
+    // profiled total must agree too; this pins the chain (run -> raw Cost
+    // -> ProfiledCost) rather than assuming the composition.
+    use spatial_dataflow::model::zorder;
+    let v = vals(262144, 11);
+    let run = |trace: bool| {
         let mut m = Machine::new();
-        let items = place_z(&mut m, 0, v.clone());
-        let _ = read_values(scan(&mut m, 0, items, &|a, b| a + b));
-        set_sim_threads(0);
-        m.report()
-    };
-    let serial = run(1);
-    let sharded = [run(2), run(7)];
-    for profile in profiles_under_test() {
-        let expected = profile.charge(serial).expect("built-in profiles cannot saturate");
-        for (threads, c) in [2usize, 7].into_iter().zip(sharded) {
-            assert_eq!(
-                expected,
-                profile.charge(c).expect("built-in profiles cannot saturate"),
-                "{} profiled totals differ at {threads} shards",
-                profile.name
-            );
+        let mut mi = Machine::new();
+        if trace {
+            m.enable_trace(1);
+            mi.enable_trace(1);
         }
+        let items = place_z(&mut m, 0, v.clone());
+        let out = read_values(scan(&mut m, 0, items, &|a, b| a + b));
+        let placed =
+            mi.place_batch((0..200000u64).collect::<Vec<_>>(), |i| zorder::coord_of(i as u64));
+        let sends: Vec<_> = placed
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| (t, zorder::coord_of((i as u64).wrapping_mul(7919) % 300000)))
+            .collect();
+        let _ = mi.send_batch(sends);
+        (out, m.report(), mi.report())
+    };
+    let bare = run(false);
+    let traced = run(true);
+    assert_eq!(bare.0, traced.0, "scan values differ between the bare and traced runs");
+    assert_eq!(bare.1, traced.1, "scan Cost differs between the bare and traced runs");
+    assert_eq!(bare.2, traced.2, "irregular-batch Cost differs between the bare and traced runs");
+    for profile in profiles_under_test() {
+        assert_eq!(
+            profile.charge(bare.1).expect("built-in profiles cannot saturate"),
+            profile.charge(traced.1).expect("built-in profiles cannot saturate"),
+            "{} profiled totals differ between the bare and traced scans",
+            profile.name
+        );
     }
 }
 
 #[test]
-fn profiled_batch_report_is_invariant_under_sim_thread_count() {
-    // Same invariance for the full canonical batch report with a default
-    // profile configured: the profiled blocks ride on deterministic costs,
-    // so the report stays a pure function of (jobspec, profile).
-    use spatial_dataflow::model::set_sim_threads;
-    let _guard = SIM_THREADS_LOCK.lock().unwrap();
+fn profiled_batch_report_is_worker_count_invariant() {
+    // The canonical batch report with a default profile configured: the
+    // profiled blocks ride on deterministic costs, so the report stays a
+    // pure function of (jobspec, profile) at any worker count.
     let doc = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/experiments/jobspecs/smoke.json"
     ))
     .expect("read smoke jobspec");
+    let strip =
+        |s: &str| s.lines().filter(|l| !l.contains("\"workers\"")).collect::<Vec<_>>().join("\n");
     for profile in profiles_under_test() {
-        let go = |threads: usize| {
-            set_sim_threads(threads);
+        let go = |workers: usize| {
             let batch = runner::Batch::parse(&doc).expect("parse smoke jobspec");
             let mut config = batch.config;
+            config.workers = workers;
             config.profile = Some(profile.name);
-            let report = runner::run_batch(&batch.name, &config, &batch.jobs).to_json(false);
-            set_sim_threads(0);
-            report
+            strip(&runner::run_batch(&batch.name, &config, &batch.jobs).to_json(false))
         };
-        let serial = go(1);
+        let report = go(4);
         assert!(
-            serial.contains("\"profiled\""),
+            report.contains("\"profiled\""),
             "{}: report must carry profiled job blocks",
             profile.name
         );
         assert!(
-            serial.contains(&format!("\"profile\": \"{}\"", profile.name)),
+            report.contains(&format!("\"profile\": \"{}\"", profile.name)),
             "{}: report must name its profile",
             profile.name
         );
-        assert_eq!(serial, go(2), "{} profiled report differs at 2 shards", profile.name);
-        assert_eq!(serial, go(7), "{} profiled report differs at 7 shards", profile.name);
+        assert_eq!(report, go(1), "{} profiled report differs across worker counts", profile.name);
     }
-}
-
-#[test]
-fn batch_report_is_invariant_under_sim_thread_count() {
-    // The canonical batch report must come back byte-identical whether the
-    // inner simulations shard across 1, 2 or 7 workers.
-    use spatial_dataflow::model::set_sim_threads;
-    let _guard = SIM_THREADS_LOCK.lock().unwrap();
-    let doc = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/experiments/jobspecs/smoke.json"
-    ))
-    .expect("read smoke jobspec");
-    let go = |threads: usize| {
-        set_sim_threads(threads);
-        let batch = runner::Batch::parse(&doc).expect("parse smoke jobspec");
-        let report = runner::run_batch(&batch.name, &batch.config, &batch.jobs).to_json(false);
-        set_sim_threads(0);
-        report
-    };
-    let serial = go(1);
-    assert_eq!(serial, go(2), "canonical report differs at 2 shards");
-    assert_eq!(serial, go(7), "canonical report differs at 7 shards");
 }

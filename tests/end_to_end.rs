@@ -93,6 +93,28 @@ fn table1_shapes_hold_across_a_sweep() {
 }
 
 #[test]
+fn sort_z_spends_at_least_the_permutation_lower_bound() {
+    // Lemma V.1 / Corollary V.2: sorting reversed input realises the
+    // reversal permutation, so sort_z on a side × side square must spend at
+    // least the permutation bound `side³ / 9` in energy.
+    use spatial_dataflow::sorting::permute::permutation_energy_lower_bound;
+    for k in 2..=7u32 {
+        let side = 1u64 << k;
+        let n = 4usize.pow(k);
+        let mut m = Machine::new();
+        let items = place_z(&mut m, 0, workloads::arrays::reversed(n));
+        let sorted = sort_z_values(&mut m, 0, items);
+        assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "n = {n}: not sorted");
+        let bound = permutation_energy_lower_bound(side, side);
+        assert!(
+            u128::from(m.energy()) >= bound,
+            "n = {n}: sort_z spent {} energy, under the Lemma V.1 bound {bound}",
+            m.energy()
+        );
+    }
+}
+
+#[test]
 fn pram_simulation_runs_library_programs() {
     use spatial_dataflow::pram::programs::TreeSum;
     use spatial_dataflow::pram::{simulate_crcw, simulate_erew, PramLayout, PramProgram};
