@@ -272,17 +272,17 @@ fn profiles_under_test() -> Vec<CostProfile> {
 }
 
 #[test]
-fn large_bare_runs_match_their_traced_replay() {
-    // The bare path must charge exactly what the instrumented replay
-    // charges at the largest sizes the suite runs: a scan over 4^9 cells,
-    // which runs as a level kernel when bare and as the per-node code when
-    // traced, and an irregular `send_batch` of 200,000 pseudo-random
-    // destinations. A profile charges the final raw counters, so every
-    // profiled total must agree too; this pins the chain (run -> raw Cost
-    // -> ProfiledCost) rather than assuming the composition.
-    use spatial_dataflow::model::zorder;
+fn sharded_bare_path_is_thread_count_invariant() {
+    // Bare batches run on the calling thread, so `set_sim_threads` (a no-op
+    // kept for perfbench) must stay unobservable, and every bare run must
+    // charge exactly what the instrumented replay charges. Exercise the
+    // largest sizes the suite runs: a scan over 4^9 cells, which runs as a
+    // level kernel when bare and as the per-node code when traced, and an
+    // irregular `send_batch` of 200,000 pseudo-random destinations.
+    use spatial_dataflow::model::{set_sim_threads, zorder};
     let v = vals(262144, 11);
-    let run = |trace: bool| {
+    let run = |threads: usize, trace: bool| {
+        set_sim_threads(threads);
         let mut m = Machine::new();
         let mut mi = Machine::new();
         if trace {
@@ -299,20 +299,52 @@ fn large_bare_runs_match_their_traced_replay() {
             .map(|(i, t)| (t, zorder::coord_of((i as u64).wrapping_mul(7919) % 300000)))
             .collect();
         let _ = mi.send_batch(sends);
+        set_sim_threads(0);
         (out, m.report(), mi.report())
     };
-    let bare = run(false);
-    let traced = run(true);
-    assert_eq!(bare.0, traced.0, "scan values differ between the bare and traced runs");
-    assert_eq!(bare.1, traced.1, "scan Cost differs between the bare and traced runs");
-    assert_eq!(bare.2, traced.2, "irregular-batch Cost differs between the bare and traced runs");
-    for profile in profiles_under_test() {
+    let traced = run(1, true);
+    for threads in [1usize, 2, 7] {
+        let bare = run(threads, false);
+        assert_eq!(bare.0, traced.0, "scan values differ from the traced run at {threads} threads");
+        assert_eq!(bare.1, traced.1, "scan Cost differs from the traced run at {threads} threads");
         assert_eq!(
-            profile.charge(bare.1).expect("built-in profiles cannot saturate"),
-            profile.charge(traced.1).expect("built-in profiles cannot saturate"),
-            "{} profiled totals differ between the bare and traced scans",
-            profile.name
+            bare.2, traced.2,
+            "irregular-batch Cost differs from the traced run at {threads} threads"
         );
+    }
+}
+
+#[test]
+fn profiled_totals_are_invariant_under_sim_thread_count() {
+    // A profile charges the final raw counters, so the derived pJ/EDP
+    // totals must be bit-identical at every `set_sim_threads` value and on
+    // the traced replay too. This pins the full chain (run -> raw Cost ->
+    // ProfiledCost) rather than assuming the composition.
+    use spatial_dataflow::model::set_sim_threads;
+    let v = vals(262144, 23);
+    let run = |threads: usize, trace: bool| {
+        set_sim_threads(threads);
+        let mut m = Machine::new();
+        if trace {
+            m.enable_trace(1);
+        }
+        let items = place_z(&mut m, 0, v.clone());
+        let _ = read_values(scan(&mut m, 0, items, &|a, b| a + b));
+        set_sim_threads(0);
+        m.report()
+    };
+    let traced = run(1, true);
+    let bare = [1usize, 2, 7].map(|threads| (threads, run(threads, false)));
+    for profile in profiles_under_test() {
+        let expected = profile.charge(traced).expect("built-in profiles cannot saturate");
+        for (threads, c) in bare {
+            assert_eq!(
+                expected,
+                profile.charge(c).expect("built-in profiles cannot saturate"),
+                "{} profiled totals differ from the traced scan at {threads} threads",
+                profile.name
+            );
+        }
     }
 }
 
